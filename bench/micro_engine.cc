@@ -15,8 +15,6 @@
 #include "exec/aggregate.h"
 #include "exec/filter_project.h"
 #include "exec/joins.h"
-#include "exec/parallel_aggregate.h"
-#include "exec/parallel_scan.h"
 #include "exec/scan.h"
 #include "power/platform.h"
 #include "storage/ssd.h"
@@ -128,10 +126,9 @@ void BM_DopSweepAggregate(benchmark::State& state) {
     std::vector<AggregateItem> aggs;
     aggs.push_back({"total", AggFunc::kSum, Col("x")});
     aggs.push_back({"n", AggFunc::kCount, nullptr});
-    ParallelHashAggregateOp agg(
-        std::make_unique<ParallelTableScanOp>(
-            f.table.get(), std::vector<std::string>{"k", "x"}),
-        {"k"}, std::move(aggs));
+    HashAggregateOp agg(std::make_unique<TableScanOp>(
+                            f.table.get(), std::vector<std::string>{"k", "x"}),
+                        {"k"}, std::move(aggs));
     ExecOptions options;
     options.dop = dop;
     options.pstate = pstate;

@@ -5,6 +5,32 @@
 
 namespace ecodb::core {
 
+namespace {
+
+/// Rejects execution knobs that would otherwise reach ExecContext's
+/// assert-only checks (or a zero-width WorkerPool) under NDEBUG.
+Status ValidateConfig(const DbConfig& config,
+                      const power::HardwarePlatform& platform) {
+  if (!config.derive_dop_ladder) {
+    for (int dop : config.planner_options.dops) {
+      if (dop < 1) {
+        return Status::InvalidArgument("planner_options.dops must be >= 1");
+      }
+    }
+  }
+  if (config.exec_options.dop < 1) {
+    return Status::InvalidArgument("exec_options.dop must be >= 1");
+  }
+  const int pstates = platform.cpu().num_pstates();
+  if (config.exec_options.pstate < 0 || config.exec_options.pstate >= pstates) {
+    return Status::InvalidArgument("exec_options.pstate must be in [0, " +
+                                   std::to_string(pstates) + ")");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 EcoDb::EcoDb(const DbConfig& config) : config_(config) {}
 
 StatusOr<std::unique_ptr<EcoDb>> EcoDb::Open(const DbConfig& config) {
@@ -21,6 +47,7 @@ StatusOr<std::unique_ptr<EcoDb>> EcoDb::Open(const DbConfig& config) {
       db->platform_ = power::MakeProportionalPlatform();
       break;
   }
+  ECODB_RETURN_IF_ERROR(ValidateConfig(config, *db->platform_));
   power::EnergyMeter* meter = db->platform_->meter();
 
   if (config.fault_plan.active()) {

@@ -1,9 +1,8 @@
 // Hash aggregation: GROUP BY over key columns with SUM/COUNT/MIN/MAX/AVG.
 //
 // The binding, key-encoding, accumulation, and row-emission pieces are
-// shared free helpers so the serial HashAggregateOp and the parallel
-// partitioned aggregate (parallel_aggregate.h) compute with exactly the
-// same arithmetic.
+// free helpers, so the morsel partials and the coordinator drain compute
+// with exactly the same arithmetic.
 
 #ifndef ECODB_EXEC_AGGREGATE_H_
 #define ECODB_EXEC_AGGREGATE_H_
@@ -70,7 +69,7 @@ Status AppendGroupRow(const GroupAccum& gs,
                       RecordBatch* batch);
 
 /// Aggregates one batch into `groups` — any map keyed by the encoded group
-/// key (the serial operator uses an ordered std::map, parallel partials use
+/// key (the merged table is an ordered std::map, morsel partials use
 /// unordered_map). Pure accumulation; the caller owns the cost charges.
 template <typename GroupMap>
 Status AccumulateBatch(const RecordBatch& batch,
@@ -108,6 +107,18 @@ Status AccumulateBatch(const RecordBatch& batch,
   return Status::OK();
 }
 
+/// Partitioned hash aggregation. When its child is a MorselSource (the
+/// table scan), each morsel is aggregated into its own partial hash table
+/// inside the worker that produced it — no shared state, no locks — and
+/// the partials merge into one ordered group table in morsel index order.
+/// Any other child is drained on the coordinator with the same arithmetic.
+///
+/// Determinism contract (DESIGN.md §7): a group key appears at most once
+/// per morsel partial, and partials merge in morsel order, so the merged
+/// accumulators see contributions in a fixed order independent of dop and
+/// scheduling. With morsel boundaries themselves dop-invariant, the output
+/// and all modeled charges (computed by the coordinator from merged row
+/// totals) are identical at every dop.
 class HashAggregateOp final : public Operator {
  public:
   /// `group_by` may be empty (global aggregate: exactly one output row).
@@ -120,14 +131,17 @@ class HashAggregateOp final : public Operator {
   void Close() override;
 
  private:
-  Status Consume(const RecordBatch& batch);
+  /// Builds groups_ (parallel over morsels, or a coordinator drain).
+  Status Compute();
+  /// Charges the aggregation's modeled CPU work for `rows` input rows.
+  void ChargeUpdate(uint64_t rows);
 
   OperatorPtr child_;
   std::vector<std::string> group_by_names_;
   std::vector<int> group_by_;
   std::vector<AggregateItem> aggregates_;
   catalog::Schema schema_;
-  // Deterministic output ordering for tests: ordered map on the encoded key.
+  // Ordered on the encoded key: deterministic output order.
   std::map<std::string, GroupAccum> groups_;
   bool computed_ = false;
   std::vector<std::string> emit_order_;

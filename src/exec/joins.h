@@ -20,7 +20,7 @@
 
 #include "exec/expr.h"
 #include "exec/operator.h"
-#include "exec/parallel_scan.h"
+#include "exec/scan.h"
 
 namespace ecodb::exec {
 
@@ -31,7 +31,7 @@ catalog::Schema JoinedSchema(const catalog::Schema& left,
 /// Equi-join on one key column per side. The right (build) side must fit
 /// in memory; its size is charged as DRAM traffic.
 ///
-/// When the left (probe) child is a MorselSource (a parallel table scan),
+/// When the left (probe) child is a MorselSource (a table scan),
 /// the probe phase runs morsel-parallel: each worker pulls probe morsels
 /// and probes the read-only build table into a per-morsel output slot;
 /// slots are emitted in morsel order and all modeled charges come from

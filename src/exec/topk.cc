@@ -4,11 +4,9 @@
 #include <queue>
 
 #include "exec/exec_context.h"
-#include "exec/parallel_scan.h"
+#include "exec/scan.h"
 
 namespace ecodb::exec {
-
-// --- TopKOp -----------------------------------------------------------------
 
 TopKOp::TopKOp(OperatorPtr child, std::vector<SortKey> keys, size_t k,
                uint64_t memory_budget_bytes,
@@ -19,143 +17,7 @@ TopKOp::TopKOp(OperatorPtr child, std::vector<SortKey> keys, size_t k,
       memory_budget_bytes_(memory_budget_bytes),
       spill_device_(spill_device) {}
 
-bool TopKOp::OutputBefore(const Entry& a, const Entry& b) const {
-  const int cmp =
-      CompareRowsOnKeys(pool_, a.row, pool_, b.row, keys_, key_idx_);
-  if (cmp != 0) return cmp < 0;
-  return a.pos < b.pos;
-}
-
-void TopKOp::CompactPool() {
-  RecordBatch fresh(pool_.schema());
-  for (Entry& e : heap_) {
-    fresh.AppendRowFrom(pool_, e.row);
-    e.row = fresh.num_rows() - 1;
-  }
-  pool_ = std::move(fresh);
-}
-
-Status TopKOp::Open(ExecContext* ctx) {
-  // ecodb-lint: coordinator-only
-  ctx_ = ctx;
-  ECODB_RETURN_IF_ERROR(child_->Open(ctx));
-  const catalog::Schema& schema = child_->output_schema();
-  ECODB_RETURN_IF_ERROR(ResolveSortKeys(schema, keys_, &key_idx_));
-
-  pool_ = RecordBatch(schema);
-  heap_.clear();
-  order_.clear();
-  cursor_ = 0;
-  const uint64_t row_width =
-      static_cast<uint64_t>(schema.RowWidthBytes());
-  const auto heap_cmp = [this](const Entry& a, const Entry& b) {
-    return OutputBefore(a, b);  // max-heap: top = last in output order
-  };
-
-  uint64_t pos = 0;
-  bool eos = false;
-  while (true) {
-    // Polled per batch so a killed session stops at a deterministic
-    // boundary with its spill watermarks (and hence its bill) intact.
-    ECODB_RETURN_IF_ERROR(ctx->PollCancel());
-    RecordBatch batch;
-    ECODB_RETURN_IF_ERROR(child_->Next(&batch, &eos));
-    if (eos) break;
-    for (size_t r = 0; r < batch.num_rows(); ++r, ++pos) {
-      if (k_ == 0) continue;
-      if (heap_.size() < k_) {
-        pool_.AppendRowFrom(batch, r);
-        heap_.push_back({pool_.num_rows() - 1, pos});
-        std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
-        continue;
-      }
-      // A new row displaces the worst kept row only when it sorts strictly
-      // before it on the keys: on a tie the kept row's input position is
-      // smaller, so stability keeps it — exactly what a stable sort
-      // followed by LimitOp(k) would retain.
-      const Entry& top = heap_.front();
-      if (CompareRowsOnKeys(batch, r, pool_, top.row, keys_, key_idx_) < 0) {
-        std::pop_heap(heap_.begin(), heap_.end(), heap_cmp);
-        pool_.AppendRowFrom(batch, r);
-        heap_.back() = {pool_.num_rows() - 1, pos};
-        std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
-        if (pool_.num_rows() >= 2 * k_) CompactPool();
-      }
-    }
-    // Spill accounting during the drain (mirrors SortOp): when even the
-    // k-row working set exceeds the budget, the kept bytes are written out
-    // as they accumulate. Guarded by spill_write_charged_ so an Open retry
-    // after a mid-drain error never bills the device twice.
-    const uint64_t kept_bytes = heap_.size() * row_width;
-    if (kept_bytes > memory_budget_bytes_ && spill_device_ != nullptr) {
-      spilled_ = true;
-      if (kept_bytes > spill_write_charged_) {
-        ECODB_RETURN_IF_ERROR(
-            ctx->ChargeWrite(spill_device_, kept_bytes - spill_write_charged_,
-                             /*sequential=*/true));
-        spill_write_charged_ = kept_bytes;
-      }
-    }
-  }
-
-  // The emission pass reads every spilled byte back exactly once.
-  if (spilled_ && !spill_read_charged_) {
-    ECODB_RETURN_IF_ERROR(ctx->ChargeRead(spill_device_, spill_write_charged_,
-                                          /*sequential=*/true));
-    spill_read_charged_ = true;
-  }
-
-  const CostConstants& c = ctx->options().costs;
-  ctx->ChargeInstructions(TopKCompareInstructions(
-      c, static_cast<double>(pos), static_cast<double>(k_),
-      static_cast<double>(keys_.size())));
-  const uint64_t kept_bytes = heap_.size() * row_width;
-  ctx->ChargeDram(std::min<uint64_t>(kept_bytes, memory_budget_bytes_));
-
-  CompactPool();
-  order_ = heap_;
-  std::sort(order_.begin(), order_.end(), heap_cmp);
-  return Status::OK();
-}
-
-Status TopKOp::Next(RecordBatch* out, bool* eos) {
-  ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
-  if (cursor_ >= order_.size()) {
-    *eos = true;
-    return Status::OK();
-  }
-  *eos = false;
-  const size_t take =
-      std::min(ctx_->options().batch_rows, order_.size() - cursor_);
-  RecordBatch batch(child_->output_schema());
-  for (size_t i = 0; i < take; ++i) {
-    batch.AppendRowFrom(pool_, order_[cursor_ + i].row);
-  }
-  cursor_ += take;
-  *out = std::move(batch);
-  return Status::OK();
-}
-
-void TopKOp::Close() {
-  pool_ = RecordBatch();
-  heap_.clear();
-  order_.clear();
-  child_->Close();
-}
-
-// --- ParallelTopKOp ---------------------------------------------------------
-
-ParallelTopKOp::ParallelTopKOp(OperatorPtr child, std::vector<SortKey> keys,
-                               size_t k, uint64_t memory_budget_bytes,
-                               storage::StorageDevice* spill_device)
-    : child_(std::move(child)),
-      keys_(std::move(keys)),
-      k_(k),
-      memory_budget_bytes_(memory_budget_bytes),
-      spill_device_(spill_device) {}
-
-ParallelTopKOp::CandidateRun ParallelTopKOp::ReduceMorsel(
-    RecordBatch batch) const {
+TopKOp::CandidateRun TopKOp::ReduceMorsel(RecordBatch batch) const {
   CandidateRun run;
   run.rows_in = batch.num_rows();
   const size_t keep = std::min(k_, batch.num_rows());
@@ -178,7 +40,7 @@ ParallelTopKOp::CandidateRun ParallelTopKOp::ReduceMorsel(
   return run;
 }
 
-Status ParallelTopKOp::FormRuns() {
+Status TopKOp::FormRuns() {
   // ecodb-lint: coordinator-only
   ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
   auto* source = dynamic_cast<MorselSource*>(child_.get());
@@ -199,8 +61,8 @@ Status ParallelTopKOp::FormRuns() {
         }));
     for (const WorkAccumulator& acc : accs) ctx_->MergeWork(acc);
   } else {
-    // Serial fallback (non-morsel child): the whole input is one candidate
-    // run, so the operator degenerates to the serial bounded-heap top-k.
+    // Non-morsel child (a join, an aggregate): the whole input, drained on
+    // the coordinator, is one candidate run.
     RecordBatch all(child_->output_schema());
     bool eos = false;
     while (true) {
@@ -224,7 +86,7 @@ Status ParallelTopKOp::FormRuns() {
   return Status::OK();
 }
 
-Status ParallelTopKOp::SettleRunCharges() {
+Status TopKOp::SettleRunCharges() {
   // ecodb-lint: coordinator-only
   const CostConstants& c = ctx_->options().costs;
   const double n_keys = static_cast<double>(keys_.size());
@@ -267,7 +129,7 @@ Status ParallelTopKOp::SettleRunCharges() {
   return Status::OK();
 }
 
-Status ParallelTopKOp::MergeRuns() {
+Status TopKOp::MergeRuns() {
   // ecodb-lint: coordinator-only
   result_ = RecordBatch(child_->output_schema());
   const CostConstants& c = ctx_->options().costs;
@@ -330,7 +192,7 @@ Status ParallelTopKOp::MergeRuns() {
   return Status::OK();
 }
 
-Status ParallelTopKOp::Open(ExecContext* ctx) {
+Status TopKOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   ECODB_RETURN_IF_ERROR(child_->Open(ctx));
   ECODB_RETURN_IF_ERROR(
@@ -346,7 +208,7 @@ Status ParallelTopKOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status ParallelTopKOp::Next(RecordBatch* out, bool* eos) {
+Status TopKOp::Next(RecordBatch* out, bool* eos) {
   ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
   if (cursor_ >= result_.num_rows()) {
     *eos = true;
@@ -364,7 +226,7 @@ Status ParallelTopKOp::Next(RecordBatch* out, bool* eos) {
   return Status::OK();
 }
 
-void ParallelTopKOp::Close() {
+void TopKOp::Close() {
   runs_.clear();
   result_ = RecordBatch();
   child_->Close();

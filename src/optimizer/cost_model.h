@@ -102,7 +102,7 @@ class CostModel {
                               const std::vector<int>& column_indexes) const;
 
   /// Demand of sorting `rows` rows on `num_keys` keys, priced the way the
-  /// morsel-parallel external sort executes: run formation
+  /// morsel-driven external sort (SortOp) executes: run formation
   /// (rows · log2(run size)) and the merge comparison ladder
   /// (rows · log2(fan-in)) parallelize across cores, while the merge's
   /// splitter selection and partition stitching stay serial (Amdahl).

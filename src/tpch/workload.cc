@@ -1,7 +1,6 @@
 #include "tpch/workload.h"
 
 #include "exec/aggregate.h"
-#include "exec/filter_project.h"
 #include "exec/joins.h"
 #include "exec/scan.h"
 #include "tpch/generator.h"
@@ -18,13 +17,12 @@ using exec::OperatorPtr;
 
 OperatorPtr MakePricingSummaryQuery(const storage::TableStorage* lineitem,
                                     int64_t ship_date_cutoff) {
-  OperatorPtr scan = std::make_unique<exec::TableScanOp>(
+  OperatorPtr filtered = std::make_unique<exec::TableScanOp>(
       lineitem,
       std::vector<std::string>{"l_returnflag", "l_quantity",
                                "l_extendedprice", "l_discount",
-                               "l_shipdate"});
-  OperatorPtr filtered = std::make_unique<exec::FilterOp>(
-      std::move(scan), Col("l_shipdate") <= LitDate(ship_date_cutoff));
+                               "l_shipdate"},
+      /*prune_filter=*/nullptr, Col("l_shipdate") <= LitDate(ship_date_cutoff));
   std::vector<AggregateItem> aggs;
   aggs.push_back({"sum_qty", AggFunc::kSum, Col("l_quantity")});
   aggs.push_back({"sum_base_price", AggFunc::kSum, Col("l_extendedprice")});
@@ -41,18 +39,17 @@ OperatorPtr MakeRevenueQuery(const storage::TableStorage* lineitem,
                              int64_t date_lo, int64_t date_hi,
                              double discount_lo, double discount_hi,
                              double quantity_cap) {
-  OperatorPtr scan = std::make_unique<exec::TableScanOp>(
-      lineitem,
-      std::vector<std::string>{"l_quantity", "l_extendedprice", "l_discount",
-                               "l_shipdate"});
   exec::ExprPtr pred =
       And(And(Col("l_shipdate") >= LitDate(date_lo),
               Col("l_shipdate") < LitDate(date_hi)),
           And(And(Col("l_discount") >= Lit(discount_lo),
                   Col("l_discount") <= Lit(discount_hi)),
               Col("l_quantity") < Lit(quantity_cap)));
-  OperatorPtr filtered =
-      std::make_unique<exec::FilterOp>(std::move(scan), std::move(pred));
+  OperatorPtr filtered = std::make_unique<exec::TableScanOp>(
+      lineitem,
+      std::vector<std::string>{"l_quantity", "l_extendedprice", "l_discount",
+                               "l_shipdate"},
+      /*prune_filter=*/nullptr, std::move(pred));
   std::vector<AggregateItem> aggs;
   aggs.push_back({"revenue", AggFunc::kSum,
                   Col("l_extendedprice") * Col("l_discount")});
@@ -63,12 +60,12 @@ OperatorPtr MakeRevenueQuery(const storage::TableStorage* lineitem,
 OperatorPtr MakeOrderRevenueQuery(const storage::TableStorage* orders,
                                   const storage::TableStorage* lineitem,
                                   int64_t order_date_cutoff) {
-  OperatorPtr oscan = std::make_unique<exec::TableScanOp>(
+  OperatorPtr ofiltered = std::make_unique<exec::TableScanOp>(
       orders,
       std::vector<std::string>{"o_orderkey", "o_orderdate",
-                               "o_shippriority"});
-  OperatorPtr ofiltered = std::make_unique<exec::FilterOp>(
-      std::move(oscan), Col("o_orderdate") < LitDate(order_date_cutoff));
+                               "o_shippriority"},
+      /*prune_filter=*/nullptr,
+      Col("o_orderdate") < LitDate(order_date_cutoff));
   OperatorPtr lscan = std::make_unique<exec::TableScanOp>(
       lineitem,
       std::vector<std::string>{"l_orderkey", "l_extendedprice",

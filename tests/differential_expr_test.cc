@@ -17,7 +17,6 @@
 #include "exec/batch.h"
 #include "exec/expr.h"
 #include "exec/filter_project.h"
-#include "exec/parallel_scan.h"
 #include "exec/scan.h"
 #include "power/platform.h"
 #include "storage/ssd.h"
@@ -260,14 +259,13 @@ class FusedPlanDifferentialTest : public ::testing::Test {
 TEST_F(FusedPlanDifferentialTest, FilterPlanIdenticalAtEveryDop) {
   auto table = MakeTable(20000);
 
-  FilterOp serial(std::make_unique<TableScanOp>(table.get()),
-                  GnarlyPredicate());
-  const RunOutcome base = Run(&serial, 1);
+  FilterOp unfused(std::make_unique<TableScanOp>(table.get()),
+                   GnarlyPredicate());
+  const RunOutcome base = Run(&unfused, 1);
   ASSERT_FALSE(base.rows.empty());
 
   for (int dop : {1, 2, 4, 8}) {
-    ParallelTableScanOp scan(table.get(), {}, GnarlyPredicate(),
-                             GnarlyPredicate());
+    TableScanOp scan(table.get(), {}, GnarlyPredicate(), GnarlyPredicate());
     const RunOutcome got = Run(&scan, dop);
     EXPECT_EQ(got.rows, base.rows) << "dop=" << dop;  // byte-identical
     // Charges are computed from static per-row costs before evaluation,
@@ -295,15 +293,15 @@ TEST_F(FusedPlanDifferentialTest, ProjectOverFilterIdenticalAtEveryDop) {
     return items;
   };
 
-  ProjectOp serial(std::make_unique<FilterOp>(
-                       std::make_unique<TableScanOp>(table.get()),
-                       GnarlyPredicate()),
-                   make_items());
-  const RunOutcome base = Run(&serial, 1);
+  ProjectOp unfused(std::make_unique<FilterOp>(
+                        std::make_unique<TableScanOp>(table.get()),
+                        GnarlyPredicate()),
+                    make_items());
+  const RunOutcome base = Run(&unfused, 1);
   ASSERT_FALSE(base.rows.empty());
 
   for (int dop : {1, 2, 4, 8}) {
-    ProjectOp plan(std::make_unique<ParallelTableScanOp>(
+    ProjectOp plan(std::make_unique<TableScanOp>(
                        table.get(), std::vector<std::string>{},
                        GnarlyPredicate(), GnarlyPredicate()),
                    make_items());

@@ -1,13 +1,13 @@
 // Differential test harness for plan equivalence: randomized ORDER BY +
-// LIMIT specs executed through the fused top-k operators AND through
+// LIMIT specs executed through the fused top-k operator AND through
 // Sort + Limit, at dop 1/2/4/8.
 //
-// The oracle is the serial SortOp (stable sort) followed by LimitOp — the
-// semantics the planner's fusion must preserve. For every generated case
-// (varying n, k, key count, duplicate density, ASC/DESC, spill pressure)
-// the harness asserts:
+// The oracle is the naive reference (naive_reference.h): materialize the
+// rows, std::stable_sort them, truncate to k — the semantics the planner's
+// fusion must preserve. For every generated case (varying n, k, key count,
+// duplicate density, ASC/DESC, spill pressure) the harness asserts:
 //   1. rows are byte-identical across every path and every dop, and
-//   2. within each parallel family the modeled charges (instructions, I/O
+//   2. within each operator family the modeled charges (instructions, I/O
 //      bytes, busy core-seconds, serial core-seconds) are bit-identical
 //      across dop — DESIGN.md §7's determinism contract.
 
@@ -18,11 +18,10 @@
 #include <gtest/gtest.h>
 
 #include "exec/operator.h"
-#include "exec/parallel_scan.h"
-#include "exec/parallel_sort.h"
 #include "exec/scan.h"
 #include "exec/sort_limit.h"
 #include "exec/topk.h"
+#include "naive_reference.h"
 #include "power/platform.h"
 #include "storage/fault_injector.h"
 #include "storage/ssd.h"
@@ -184,41 +183,37 @@ class DifferentialTopKTest : public ::testing::Test {
     auto table = MakeTable(c);
     storage::StorageDevice* spill = c.spill ? device() : nullptr;
 
-    // Oracle: serial stable sort, then limit.
-    LimitOp oracle(
-        std::make_unique<SortOp>(std::make_unique<TableScanOp>(table.get()),
-                                 c.keys, c.budget, spill),
-        c.k);
-    const RunOutcome expected = Run(&oracle, 1);
-    ASSERT_EQ(expected.rows.size(),
+    // Oracle: naive stable sort, then truncate.
+    const RecordBatch input = naive::Materialize(*table);
+    const naive::Rows expected = naive::SortLimit(input, c.keys, c.k);
+    ASSERT_EQ(expected.size(),
               std::min<size_t>(c.k, static_cast<size_t>(c.n)));
 
-    // Serial fused path.
-    TopKOp serial(std::make_unique<TableScanOp>(table.get()), c.keys, c.k,
-                  c.budget, spill);
-    EXPECT_EQ(Run(&serial, 1).rows, expected.rows) << "serial TopKOp";
+    // The coordinator-drain path: a non-morsel child is one candidate run.
+    TopKOp single_run(std::make_unique<naive::ReplayOp>(input), c.keys, c.k,
+                      c.budget, spill);
+    EXPECT_EQ(Run(&single_run, 1).rows, expected) << "single-run TopKOp";
 
-    // Parallel families across the dop ladder.
+    // Morsel-driven families across the dop ladder.
     std::optional<QueryStats> topk_base, sort_base;
     for (int dop : {1, 2, 4, 8}) {
       SCOPED_TRACE("dop=" + std::to_string(dop));
-      ParallelTopKOp topk(
-          std::make_unique<ParallelTableScanOp>(table.get()), c.keys, c.k,
-          c.budget, spill);
+      TopKOp topk(std::make_unique<TableScanOp>(table.get()), c.keys, c.k,
+                  c.budget, spill);
       const RunOutcome t = Run(&topk, dop);
-      EXPECT_EQ(t.rows, expected.rows);
+      EXPECT_EQ(t.rows, expected);
       if (!topk_base.has_value()) {
         topk_base = t.stats;
       } else {
         ExpectChargesIdentical(t.stats, *topk_base);
       }
 
-      LimitOp sl(std::make_unique<ParallelSortOp>(
-                     std::make_unique<ParallelTableScanOp>(table.get()),
-                     c.keys, c.budget, spill),
+      LimitOp sl(std::make_unique<SortOp>(
+                     std::make_unique<TableScanOp>(table.get()), c.keys,
+                     c.budget, spill),
                  c.k);
       const RunOutcome s = Run(&sl, dop);
-      EXPECT_EQ(s.rows, expected.rows);
+      EXPECT_EQ(s.rows, expected);
       if (!sort_base.has_value()) {
         sort_base = s.stats;
       } else {
@@ -287,14 +282,11 @@ TEST_F(DifferentialTopKTest, FaultPlanCaseMatchesOracleWithIdenticalRetries) {
   c.spill = true;
   c.budget = 1024;
 
-  // Oracle on the pristine SSD.
+  // Oracle: the naive reference over the same rows.
   auto clean_table = MakeTable(c);
-  LimitOp oracle(std::make_unique<SortOp>(
-                     std::make_unique<TableScanOp>(clean_table.get()), c.keys,
-                     c.budget, ssd_.get()),
-                 c.k);
-  const RunOutcome expected = Run(&oracle, 1);
-  ASSERT_EQ(expected.rows.size(), c.k);
+  const naive::Rows expected =
+      naive::SortLimit(naive::Materialize(*clean_table), c.keys, c.k);
+  ASSERT_EQ(expected.size(), c.k);
 
   auto run_faulted = [&](int dop) {
     storage::FaultPlan plan;
@@ -306,20 +298,20 @@ TEST_F(DifferentialTopKTest, FaultPlanCaseMatchesOracleWithIdenticalRetries) {
     plan.devices.push_back(spec);
     ArmFaultPlan(plan);
     auto table = MakeTable(c);
-    ParallelTopKOp topk(std::make_unique<ParallelTableScanOp>(table.get()),
-                        c.keys, c.k, c.budget, device());
+    TopKOp topk(std::make_unique<TableScanOp>(table.get()), c.keys, c.k,
+                c.budget, device());
     return Run(&topk, dop);
   };
 
   const RunOutcome base = run_faulted(1);
-  EXPECT_EQ(base.rows, expected.rows);
+  EXPECT_EQ(base.rows, expected);
   ASSERT_GT(base.stats.faults.transient_errors, 0u);
   ASSERT_GT(base.stats.faults.retry_joules, 0.0);
 
   for (int dop : {2, 4, 8}) {
     SCOPED_TRACE("dop=" + std::to_string(dop));
     const RunOutcome got = run_faulted(dop);
-    EXPECT_EQ(got.rows, expected.rows);
+    EXPECT_EQ(got.rows, expected);
     ExpectChargesIdentical(got.stats, base.stats);
   }
 }

@@ -2,7 +2,10 @@
 // physical variants, and read energy reports — the integration surface a
 // downstream user programs against.
 
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -91,6 +94,46 @@ TEST(EcoDb, DeriveDopLadderFollowsPlatformCores) {
   auto manual_db = EcoDb::Open(manual);
   ASSERT_TRUE(manual_db.ok());
   EXPECT_EQ((*manual_db)->planner()->options().dops, (std::vector<int>{1}));
+}
+
+// --- Front-door validation ---------------------------------------------------
+
+TEST(EcoDb, OpenRejectsNonPositivePlannerDop) {
+  DbConfig config = SsdConfig();
+  config.derive_dop_ladder = false;
+  config.planner_options.dops = {1, 0};
+  EXPECT_EQ(EcoDb::Open(config).status().code(),
+            StatusCode::kInvalidArgument);
+  config.planner_options.dops = {-2};
+  EXPECT_EQ(EcoDb::Open(config).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // A derived ladder replaces the hand-tuned one, so it is not checked.
+  config.derive_dop_ladder = true;
+  EXPECT_TRUE(EcoDb::Open(config).ok());
+}
+
+TEST(EcoDb, OpenRejectsNonPositiveExecDop) {
+  DbConfig config = SsdConfig();
+  config.exec_options.dop = 0;
+  EXPECT_EQ(EcoDb::Open(config).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(EcoDb, OpenRejectsPstateOutsidePlatform) {
+  DbConfig config = SsdConfig();
+  auto probe = EcoDb::Open(config);
+  ASSERT_TRUE(probe.ok());
+  const int pstates = (*probe)->platform()->cpu().num_pstates();
+
+  config.exec_options.pstate = pstates - 1;
+  EXPECT_TRUE(EcoDb::Open(config).ok());
+  config.exec_options.pstate = pstates;
+  EXPECT_EQ(EcoDb::Open(config).status().code(),
+            StatusCode::kInvalidArgument);
+  config.exec_options.pstate = -1;
+  EXPECT_EQ(EcoDb::Open(config).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(EcoDb, CreateLoadQueryRoundTrip) {
@@ -299,6 +342,122 @@ TEST(EcoDb, BuildZoneMapsThroughFacade) {
   ASSERT_TRUE((*db)->BuildZoneMaps("sales", 500).ok());
   EXPECT_EQ((*(*db)->table("sales"))->zone_maps().num_blocks(), 10u);
   EXPECT_FALSE((*db)->BuildZoneMaps("ghost", 500).ok());
+}
+
+// --- Dop invariance through the facade ---------------------------------------
+
+/// Every row of `rows`, one lane per column, concatenated across batches.
+std::vector<storage::ColumnData> FlattenLanes(
+    const exec::QueryResultSet& rows) {
+  std::vector<storage::ColumnData> lanes(
+      static_cast<size_t>(rows.schema.num_columns()));
+  for (size_t c = 0; c < lanes.size(); ++c) {
+    lanes[c].type = rows.schema.column(static_cast<int>(c)).type;
+  }
+  for (const exec::RecordBatch& batch : rows.batches) {
+    for (size_t c = 0; c < lanes.size(); ++c) {
+      const storage::ColumnData& src = batch.column(c);
+      lanes[c].i64.insert(lanes[c].i64.end(), src.i64.begin(), src.i64.end());
+      lanes[c].f64.insert(lanes[c].f64.end(), src.f64.begin(), src.f64.end());
+      lanes[c].str.insert(lanes[c].str.end(), src.str.begin(), src.str.end());
+    }
+  }
+  return lanes;
+}
+
+/// DESIGN §7 at the facade: the same spec returns byte-identical rows and
+/// bit-identical charges whichever dop the planner is given.
+TEST(EcoDb, ExecuteIsDopInvariantForAggregateSortAndTopK) {
+  tpch::TpchConfig tconfig;
+  tconfig.scale_factor = 1.0;  // ~60k rows: several morsels
+  const std::vector<storage::ColumnData> lineitem =
+      tpch::GenerateLineitem(tconfig);
+
+  // Q1-style grouped aggregate, a spilling ORDER BY, and a top-k.
+  const auto make_specs = [](storage::TableStorage* table,
+                             storage::StorageDevice* spill) {
+    std::vector<optimizer::QuerySpec> specs(3);
+    for (optimizer::QuerySpec& spec : specs) {
+      spec.left.name = "lineitem";
+      spec.left.variants = {table};
+    }
+    specs[0].left.filter =
+        Col("l_shipdate") <= exec::LitDate(tpch::kDateRangeDays - 90);
+    specs[0].group_by = {"l_returnflag"};
+    specs[0].aggregates.push_back(
+        {"sum_qty", exec::AggFunc::kSum, Col("l_quantity")});
+    specs[0].aggregates.push_back(
+        {"sum_disc_price", exec::AggFunc::kSum,
+         Col("l_extendedprice") * (Lit(1.0) - Col("l_discount"))});
+    specs[0].aggregates.push_back(
+        {"avg_price", exec::AggFunc::kAvg, Col("l_extendedprice")});
+    specs[0].aggregates.push_back(
+        {"count_order", exec::AggFunc::kCount, nullptr});
+
+    specs[1].left.columns = {"l_orderkey", "l_extendedprice", "l_shipdate"};
+    specs[1].left.filter = Col("l_shipdate") < exec::LitDate(365);
+    specs[1].order_by = {{"l_extendedprice", false}, {"l_orderkey", true}};
+    specs[1].sort_memory_budget_bytes = 64 * 1024;
+    specs[1].sort_spill_device = spill;
+
+    specs[2].left.columns = {"l_orderkey", "l_quantity", "l_extendedprice"};
+    specs[2].order_by = {{"l_quantity", false}, {"l_extendedprice", true}};
+    specs[2].limit = 25;
+    return specs;
+  };
+
+  struct DopRun {
+    int dop = 0;
+    std::vector<storage::ColumnData> lanes;
+    exec::QueryStats stats;
+  };
+  std::vector<std::vector<DopRun>> runs(3);  // per spec, per dop
+  for (int dop : {1, 2, 4}) {
+    DbConfig config = SsdConfig();
+    config.derive_dop_ladder = false;
+    config.planner_options.dops = {dop};
+    auto db = EcoDb::Open(config);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->CreateTable("lineitem", tpch::LineitemSchema()).ok());
+    ASSERT_TRUE((*db)->Load("lineitem", lineitem).ok());
+    const auto specs =
+        make_specs(*(*db)->table("lineitem"), (*db)->primary_device());
+    for (size_t q = 0; q < specs.size(); ++q) {
+      auto outcome =
+          (*db)->Execute(specs[q], optimizer::Objective::Performance());
+      ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+      ASSERT_EQ(outcome->plan->dop, dop);
+      runs[q].push_back({dop, FlattenLanes(outcome->rows), outcome->stats});
+    }
+  }
+  ASSERT_GT(runs[1][0].stats.io_bytes, 0u);
+  EXPECT_EQ(runs[2][0].lanes[0].size(), 25u);
+
+  for (size_t q = 0; q < runs.size(); ++q) {
+    const DopRun& base = runs[q][0];
+    ASSERT_FALSE(base.lanes.empty());
+    ASSERT_GT(base.lanes[0].size(), 0u);
+    for (size_t d = 1; d < runs[q].size(); ++d) {
+      const DopRun& got = runs[q][d];
+      SCOPED_TRACE("query " + std::to_string(q) +
+                   " dop=" + std::to_string(got.dop));
+      ASSERT_EQ(got.lanes.size(), base.lanes.size());
+      for (size_t c = 0; c < base.lanes.size(); ++c) {
+        EXPECT_EQ(got.lanes[c].i64, base.lanes[c].i64);
+        EXPECT_EQ(got.lanes[c].str, base.lanes[c].str);
+        ASSERT_EQ(got.lanes[c].f64.size(), base.lanes[c].f64.size());
+        if (base.lanes[c].f64.empty()) continue;
+        EXPECT_EQ(std::memcmp(got.lanes[c].f64.data(),
+                              base.lanes[c].f64.data(),
+                              base.lanes[c].f64.size() * sizeof(double)),
+                  0)
+            << "f64 lane " << c << " differs";
+      }
+      EXPECT_EQ(got.stats.cpu_instructions, base.stats.cpu_instructions);
+      EXPECT_EQ(got.stats.io_bytes, base.stats.io_bytes);
+      EXPECT_EQ(got.stats.Joules(), base.stats.Joules());
+    }
+  }
 }
 
 }  // namespace

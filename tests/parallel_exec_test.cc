@@ -1,5 +1,6 @@
-// Tests for the morsel-driven parallel execution layer: the worker pool,
-// morselization, and the parallel scan / aggregate / join-probe operators.
+// Tests for the morsel-driven execution layer: the worker pool,
+// morselization, and the scan / aggregate / join-probe operators, checked
+// against the naive reference evaluators in naive_reference.h.
 //
 // The central invariant under test is energy-consistent determinism: a query
 // must return byte-identical results AND identical modeled accounting
@@ -9,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -18,10 +20,9 @@
 #include "exec/filter_project.h"
 #include "exec/joins.h"
 #include "exec/operator.h"
-#include "exec/parallel_aggregate.h"
-#include "exec/parallel_scan.h"
 #include "exec/scan.h"
 #include "exec/worker_pool.h"
+#include "naive_reference.h"
 #include "power/platform.h"
 #include "storage/fault_injector.h"
 #include "storage/ssd.h"
@@ -199,27 +200,32 @@ class ParallelExecTest : public ::testing::Test {
   std::unique_ptr<storage::SsdDevice> ssd_;
 };
 
-// --- Parallel scan ------------------------------------------------------------
+// --- Scan --------------------------------------------------------------------
 
-TEST_F(ParallelExecTest, ScanMatchesSerialAtEveryDop) {
+TEST_F(ParallelExecTest, ScanMatchesReferenceAtEveryDop) {
   auto table = MakeLineitem(20000, 256);
   const auto filter = [] { return Col("id") < Lit(int64_t{15000}); };
+  const naive::Rows expected =
+      naive::ToRows(naive::Materialize(*table, filter()));
+  ASSERT_EQ(expected.size(), 15000u);
 
-  FilterOp serial(std::make_unique<TableScanOp>(
-                      table.get(), std::vector<std::string>{}, filter()),
-                  filter());
-  const RunOutcome base = Run(&serial, 1);
+  // The fused exact filter charges what a FilterOp over the unfiltered
+  // scan charges.
+  FilterOp unfused(std::make_unique<TableScanOp>(
+                       table.get(), std::vector<std::string>{}, filter()),
+                   filter());
+  const RunOutcome base = Run(&unfused, 1);
+  EXPECT_EQ(base.rows, expected);
 
   for (int dop : {1, 2, 4, 8}) {
-    ParallelTableScanOp scan(table.get(), {}, filter(), filter());
+    TableScanOp scan(table.get(), {}, filter(), filter());
     const RunOutcome got = Run(&scan, dop);
-    EXPECT_EQ(got.rows, base.rows) << "dop=" << dop;
+    EXPECT_EQ(got.rows, expected) << "dop=" << dop;
     EXPECT_EQ(got.stats.rows_emitted, base.stats.rows_emitted);
     EXPECT_EQ(got.stats.io_bytes, base.stats.io_bytes);
-    EXPECT_DOUBLE_EQ(got.stats.cpu_instructions, base.stats.cpu_instructions)
+    EXPECT_EQ(got.stats.cpu_instructions, base.stats.cpu_instructions)
         << "dop=" << dop;
-    EXPECT_DOUBLE_EQ(got.stats.cpu_seconds, base.stats.cpu_seconds)
-        << "dop=" << dop;
+    EXPECT_EQ(got.stats.cpu_seconds, base.stats.cpu_seconds) << "dop=" << dop;
   }
 }
 
@@ -229,7 +235,7 @@ TEST_F(ParallelExecTest, MorselSizeDoesNotChangeResultsOrAccounting) {
 
   std::vector<RunOutcome> outcomes;
   for (size_t morsel_rows : {size_t{128}, size_t{1000}, size_t{100000}}) {
-    ParallelTableScanOp scan(table.get(), {}, nullptr, filter());
+    TableScanOp scan(table.get(), {}, nullptr, filter());
     outcomes.push_back(Run(&scan, 4, morsel_rows));
   }
   for (size_t i = 1; i < outcomes.size(); ++i) {
@@ -240,26 +246,31 @@ TEST_F(ParallelExecTest, MorselSizeDoesNotChangeResultsOrAccounting) {
   }
 }
 
-TEST_F(ParallelExecTest, ZoneMapPruningMatchesSerialUnderParallelScan) {
+TEST_F(ParallelExecTest, ZoneMapPruningIsDopInvariant) {
   auto table = MakeLineitem(20000, 256);
   // id < 4000 selects the first 16 of 79 blocks.
   const auto filter = [] { return Col("id") < Lit(int64_t{4000}); };
+  const ScanPruning pruning = PruneScan(filter(), *table);
+  ASSERT_EQ(pruning.blocks_skipped, 63u);
 
-  TableScanOp serial(table.get(), {}, filter());
-  const RunOutcome base = Run(&serial, 1);
-  const size_t serial_skipped = serial.blocks_skipped();
-  EXPECT_GT(serial_skipped, 0u);
+  // Pruning alone emits every row of the 16 surviving blocks.
+  const naive::Rows all = naive::ToRows(naive::Materialize(*table));
+  const naive::Rows expected(all.begin(), all.begin() + 16 * 256);
 
-  for (int dop : {2, 8}) {
-    ParallelTableScanOp scan(table.get(), {}, filter(), nullptr);
+  std::optional<QueryStats> base;
+  for (int dop : {1, 2, 8}) {
+    TableScanOp scan(table.get(), {}, filter(), nullptr);
     const RunOutcome got = Run(&scan, dop, /*morsel_rows=*/300);
-    EXPECT_EQ(scan.blocks_skipped(), serial_skipped) << "dop=" << dop;
-    EXPECT_EQ(got.rows, base.rows) << "dop=" << dop;
-    EXPECT_EQ(got.stats.io_bytes, base.stats.io_bytes) << "dop=" << dop;
+    EXPECT_EQ(scan.blocks_skipped(), pruning.blocks_skipped) << "dop=" << dop;
+    EXPECT_EQ(got.rows, expected) << "dop=" << dop;
+    if (!base.has_value()) base = got.stats;
+    EXPECT_EQ(got.stats.io_bytes, base->io_bytes) << "dop=" << dop;
+    EXPECT_EQ(got.stats.cpu_instructions, base->cpu_instructions)
+        << "dop=" << dop;
   }
 }
 
-// --- Parallel aggregation -----------------------------------------------------
+// --- Aggregation -------------------------------------------------------------
 
 std::vector<AggregateItem> LineitemAggregates() {
   std::vector<AggregateItem> aggs;
@@ -274,83 +285,101 @@ std::vector<AggregateItem> LineitemAggregates() {
 TEST_F(ParallelExecTest, AggregateMatchesSerialAtEveryDop) {
   auto table = MakeLineitem(30000, 256);
   const auto filter = [] { return Col("id") < Lit(int64_t{27000}); };
+  const RecordBatch input = naive::Materialize(*table, filter());
+  const naive::Rows expected =
+      naive::GroupBy(input, {"part", "flag"}, LineitemAggregates());
+  ASSERT_EQ(expected.size(), 50u);  // 25 parts x 2 flags
 
-  HashAggregateOp serial(
-      std::make_unique<FilterOp>(
-          std::make_unique<TableScanOp>(table.get(), std::vector<std::string>{},
-                                        filter()),
-          filter()),
-      {"part", "flag"}, LineitemAggregates());
-  const RunOutcome base = Run(&serial, 1);
-  EXPECT_EQ(base.rows.size(), 50u);  // 25 parts x 2 flags
+  // The serial path: the same operator draining a non-morsel child on the
+  // coordinator.
+  HashAggregateOp serial(std::make_unique<naive::ReplayOp>(input),
+                         {"part", "flag"}, LineitemAggregates());
+  EXPECT_EQ(Run(&serial, 1).rows, expected);
 
+  std::optional<QueryStats> base;
   for (int dop : {1, 2, 4, 8}) {
-    ParallelHashAggregateOp agg(
-        std::make_unique<ParallelTableScanOp>(table.get(),
-                                              std::vector<std::string>{},
-                                              filter(), filter()),
+    HashAggregateOp agg(
+        std::make_unique<TableScanOp>(table.get(), std::vector<std::string>{},
+                                      filter(), filter()),
         {"part", "flag"}, LineitemAggregates());
     const RunOutcome got = Run(&agg, dop);
-    EXPECT_EQ(got.rows, base.rows) << "dop=" << dop;  // byte-identical
-    EXPECT_DOUBLE_EQ(got.stats.cpu_instructions, base.stats.cpu_instructions)
+    EXPECT_EQ(got.rows, expected) << "dop=" << dop;  // byte-identical
+    if (!base.has_value()) base = got.stats;
+    EXPECT_EQ(got.stats.cpu_instructions, base->cpu_instructions)
         << "dop=" << dop;
+    EXPECT_EQ(got.stats.io_bytes, base->io_bytes) << "dop=" << dop;
   }
 }
 
 TEST_F(ParallelExecTest, GlobalAggregateMatchesSerial) {
   auto table = MakeLineitem(5000, 128);
-  HashAggregateOp serial(std::make_unique<TableScanOp>(table.get()), {},
-                         LineitemAggregates());
-  const RunOutcome base = Run(&serial, 1);
-  ASSERT_EQ(base.rows.size(), 1u);
+  const RecordBatch input = naive::Materialize(*table);
+  const naive::Rows expected = naive::GroupBy(input, {}, LineitemAggregates());
+  ASSERT_EQ(expected.size(), 1u);
 
-  ParallelHashAggregateOp agg(
-      std::make_unique<ParallelTableScanOp>(table.get()), {},
-      LineitemAggregates());
-  const RunOutcome got = Run(&agg, 4);
-  EXPECT_EQ(got.rows, base.rows);
+  HashAggregateOp serial(std::make_unique<naive::ReplayOp>(input), {},
+                         LineitemAggregates());
+  EXPECT_EQ(Run(&serial, 1).rows, expected);
+
+  for (int dop : {1, 4}) {
+    HashAggregateOp agg(std::make_unique<TableScanOp>(table.get()), {},
+                        LineitemAggregates());
+    EXPECT_EQ(Run(&agg, dop).rows, expected) << "dop=" << dop;
+  }
 }
 
 TEST_F(ParallelExecTest, ParallelAggregateFallsBackOnSerialChild) {
   auto table = MakeLineitem(5000, 128);
-  HashAggregateOp serial(std::make_unique<TableScanOp>(table.get()), {"part"},
+  HashAggregateOp morsel(std::make_unique<TableScanOp>(table.get()), {"part"},
                          LineitemAggregates());
-  const RunOutcome base = Run(&serial, 1);
+  const RunOutcome base = Run(&morsel, 1);
+  EXPECT_EQ(base.rows, naive::GroupBy(naive::Materialize(*table), {"part"},
+                                      LineitemAggregates()));
 
-  // Child is a plain TableScanOp — not a MorselSource — so the parallel
-  // operator must drain it serially and still agree exactly.
-  ParallelHashAggregateOp agg(std::make_unique<TableScanOp>(table.get()),
-                              {"part"}, LineitemAggregates());
+  // FilterOp is not a MorselSource, so the aggregate drains it on the
+  // coordinator and must still agree exactly, rows and charges (the
+  // always-true filter adds its own per-row cost on top).
+  const auto all = [] { return Col("id") >= Lit(int64_t{0}); };
+  HashAggregateOp agg(
+      std::make_unique<FilterOp>(std::make_unique<TableScanOp>(table.get()),
+                                 all()),
+      {"part"}, LineitemAggregates());
   const RunOutcome got = Run(&agg, 4);
   EXPECT_EQ(got.rows, base.rows);
-  EXPECT_DOUBLE_EQ(got.stats.cpu_instructions, base.stats.cpu_instructions);
+  EXPECT_EQ(got.stats.cpu_instructions,
+            base.stats.cpu_instructions + all()->InstructionsPerRow() * 5000);
 }
 
-// --- Parallel join probe ------------------------------------------------------
+// --- Join probe --------------------------------------------------------------
 
 TEST_F(ParallelExecTest, HashJoinProbeMatchesSerialAtEveryDop) {
   auto probe = MakeLineitem(20000, 256);
   auto build = MakeLineitem(200, 0);
+  const auto build_side = [&] {
+    return std::make_unique<TableScanOp>(
+        build.get(), std::vector<std::string>{"part", "qty"});
+  };
 
-  HashJoinOp serial(
-      std::make_unique<TableScanOp>(probe.get(),
-                                    std::vector<std::string>{"id", "part"}),
-      std::make_unique<TableScanOp>(build.get(),
-                                    std::vector<std::string>{"part", "qty"}),
-      "part", "part");
-  const RunOutcome base = Run(&serial, 1);
-  EXPECT_GT(base.rows.size(), 0u);
+  // The serial probe: a non-morsel probe child is probed batch by batch on
+  // the coordinator.
+  RecordBatch probe_rows(probe->schema().ProjectIndexes({0, 1}));
+  probe_rows.column(0) = probe->RawColumn(0);
+  probe_rows.column(1) = probe->RawColumn(1);
+  ASSERT_TRUE(probe_rows.SealRows(probe->row_count()).ok());
+  HashJoinOp serial(std::make_unique<naive::ReplayOp>(probe_rows),
+                    build_side(), "part", "part");
+  const RunOutcome expected = Run(&serial, 1);
+  EXPECT_EQ(expected.rows.size(), 20000u * 8u);  // 8 build rows per part
 
+  std::optional<QueryStats> base;
   for (int dop : {1, 2, 4, 8}) {
-    HashJoinOp join(
-        std::make_unique<ParallelTableScanOp>(
-            probe.get(), std::vector<std::string>{"id", "part"}),
-        std::make_unique<TableScanOp>(build.get(),
-                                      std::vector<std::string>{"part", "qty"}),
-        "part", "part");
+    HashJoinOp join(std::make_unique<TableScanOp>(
+                        probe.get(), std::vector<std::string>{"id", "part"}),
+                    build_side(), "part", "part");
     const RunOutcome got = Run(&join, dop);
-    EXPECT_EQ(got.rows, base.rows) << "dop=" << dop;
-    EXPECT_DOUBLE_EQ(got.stats.cpu_instructions, base.stats.cpu_instructions)
+    EXPECT_EQ(got.rows, expected.rows) << "dop=" << dop;
+    if (!base.has_value()) base = got.stats;
+    EXPECT_EQ(got.stats.cpu_instructions, base->cpu_instructions)
         << "dop=" << dop;
   }
 }
@@ -364,15 +393,13 @@ TEST_F(ParallelExecTest, DopShortensElapsedButNotBusyCoreSeconds) {
 
   QueryStats s1, s4;
   {
-    ParallelHashAggregateOp agg(
-        std::make_unique<ParallelTableScanOp>(table.get()), {"part"},
-        LineitemAggregates());
+    HashAggregateOp agg(std::make_unique<TableScanOp>(table.get()), {"part"},
+                        LineitemAggregates());
     s1 = Run(&agg, 1).stats;
   }
   {
-    ParallelHashAggregateOp agg(
-        std::make_unique<ParallelTableScanOp>(table.get()), {"part"},
-        LineitemAggregates());
+    HashAggregateOp agg(std::make_unique<TableScanOp>(table.get()), {"part"},
+                        LineitemAggregates());
     s4 = Run(&agg, 4).stats;
   }
 
@@ -393,7 +420,7 @@ TEST_F(ParallelExecTest, DopShortensElapsedButNotBusyCoreSeconds) {
 
 TEST_F(ParallelExecTest, DopBeyondPlatformCoresIsClamped) {
   auto table = MakeLineitem(2000, 128);
-  ParallelTableScanOp scan(table.get());
+  TableScanOp scan(table.get());
   const RunOutcome got = Run(&scan, 64);  // platform has 16 cores
   EXPECT_EQ(got.stats.active_cores, 16);
   EXPECT_EQ(got.stats.rows_emitted, 2000u);
@@ -410,8 +437,8 @@ TEST_F(ParallelExecTest, WallClockSpeedupOnMultiCoreHosts) {
   const auto time_at_dop = [&](int dop) {
     double best = 1e100;
     for (int rep = 0; rep < 3; ++rep) {
-      ParallelHashAggregateOp agg(
-          std::make_unique<ParallelTableScanOp>(
+      HashAggregateOp agg(
+          std::make_unique<TableScanOp>(
               table.get(), std::vector<std::string>{"part", "qty"}),
           {"part"}, LineitemAggregates());
       const auto t0 = std::chrono::steady_clock::now();
@@ -463,7 +490,7 @@ TEST_F(ParallelExecTest, FaultPlanReplaysBitIdenticalAtEveryDop) {
     }
     EXPECT_TRUE(table.Append(cols).ok());
 
-    ParallelTableScanOp scan(&table, {});
+    TableScanOp scan(&table, {});
     return Run(&scan, dop);
   };
 

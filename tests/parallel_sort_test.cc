@@ -1,5 +1,6 @@
-// Tests for the morsel-parallel external sort (ParallelSortOp) and the
-// serial SortOp's exactly-once spill accounting.
+// Tests for the morsel-driven external sort (SortOp): results against the
+// naive reference sort, and exactly-once spill accounting across Open
+// retries.
 //
 // The invariant under test is the determinism contract of DESIGN.md §7: the
 // sort returns byte-identical rows and identical modeled accounting
@@ -13,10 +14,9 @@
 
 #include "exec/filter_project.h"
 #include "exec/operator.h"
-#include "exec/parallel_scan.h"
-#include "exec/parallel_sort.h"
 #include "exec/scan.h"
 #include "exec/sort_limit.h"
+#include "naive_reference.h"
 #include "power/platform.h"
 #include "storage/ssd.h"
 #include "storage/table_storage.h"
@@ -101,15 +101,20 @@ std::vector<SortKey> Keys() {
 
 TEST_F(ParallelSortTest, MatchesSerialSortAtEveryDop) {
   auto table = MakeLineitem(10000, 512);
-  SortOp serial(std::make_unique<TableScanOp>(table.get()), Keys());
-  const RunOutcome base = Run(&serial, 1);
-  ASSERT_EQ(base.rows.size(), 10000u);
+  const RecordBatch input = naive::Materialize(*table);
+  const naive::Rows expected = naive::SortLimit(input, Keys());
+  ASSERT_EQ(expected.size(), 10000u);
+
+  // The serial path: a non-morsel child sorts as one run on the
+  // coordinator.
+  SortOp serial(std::make_unique<naive::ReplayOp>(input), Keys());
+  EXPECT_EQ(Run(&serial, 1).rows, expected);
+  EXPECT_EQ(serial.num_runs(), 1u);
 
   for (int dop : {1, 2, 4, 8}) {
-    ParallelSortOp sort(std::make_unique<ParallelTableScanOp>(table.get()),
-                        Keys());
+    SortOp sort(std::make_unique<TableScanOp>(table.get()), Keys());
     const RunOutcome got = Run(&sort, dop);
-    EXPECT_EQ(got.rows, base.rows) << "dop=" << dop;  // byte-identical
+    EXPECT_EQ(got.rows, expected) << "dop=" << dop;  // byte-identical
     EXPECT_GT(sort.num_runs(), 1u);
     EXPECT_EQ(sort.merge_partitions(),
               std::min<size_t>(8, sort.num_runs()));
@@ -120,8 +125,7 @@ TEST_F(ParallelSortTest, AccountingIsDopInvariantAndCriticalPathShrinks) {
   auto table = MakeLineitem(20000, 512);
   std::vector<RunOutcome> outcomes;
   for (int dop : {1, 2, 4, 8}) {
-    ParallelSortOp sort(std::make_unique<ParallelTableScanOp>(table.get()),
-                        Keys());
+    SortOp sort(std::make_unique<TableScanOp>(table.get()), Keys());
     outcomes.push_back(Run(&sort, dop));
   }
   const QueryStats& base = outcomes[0].stats;
@@ -146,15 +150,13 @@ TEST_F(ParallelSortTest, AccountingIsDopInvariantAndCriticalPathShrinks) {
 
 TEST_F(ParallelSortTest, SpilledSortReturnsSameRowsAsInMemory) {
   auto table = MakeLineitem(10000, 512);
-  ParallelSortOp in_memory(
-      std::make_unique<ParallelTableScanOp>(table.get()), Keys());
+  SortOp in_memory(std::make_unique<TableScanOp>(table.get()), Keys());
   const RunOutcome base = Run(&in_memory, 4);
   EXPECT_FALSE(in_memory.spilled());
 
   for (int dop : {1, 4}) {
-    ParallelSortOp spilling(
-        std::make_unique<ParallelTableScanOp>(table.get()), Keys(),
-        /*memory_budget_bytes=*/16 * 1024, ssd_.get());
+    SortOp spilling(std::make_unique<TableScanOp>(table.get()), Keys(),
+                    /*memory_budget_bytes=*/16 * 1024, ssd_.get());
     const RunOutcome got = Run(&spilling, dop);
     EXPECT_TRUE(spilling.spilled());
     EXPECT_EQ(got.rows, base.rows) << "dop=" << dop;
@@ -169,7 +171,7 @@ TEST_F(ParallelSortTest, SpilledSortReturnsSameRowsAsInMemory) {
 TEST_F(ParallelSortTest, SerialChildFallsBackToSingleRun) {
   auto table = MakeLineitem(2000, 0);
   // FilterOp is not a MorselSource, so the sort drains it serially.
-  ParallelSortOp sort(
+  SortOp sort(
       std::make_unique<FilterOp>(std::make_unique<TableScanOp>(table.get()),
                                  Col("part") < Lit(int64_t{20})),
       Keys());
@@ -184,10 +186,9 @@ TEST_F(ParallelSortTest, SerialChildFallsBackToSingleRun) {
 
 TEST_F(ParallelSortTest, EmptyInputYieldsEmptyOutput) {
   auto table = MakeLineitem(100, 0);
-  ParallelSortOp sort(
-      std::make_unique<ParallelTableScanOp>(table.get(), std::vector<std::string>{},
-                                            nullptr,
-                                            Col("part") < Lit(int64_t{-1})),
+  SortOp sort(
+      std::make_unique<TableScanOp>(table.get(), std::vector<std::string>{},
+                                    nullptr, Col("part") < Lit(int64_t{-1})),
       Keys());
   const RunOutcome got = Run(&sort, 4);
   EXPECT_TRUE(got.rows.empty());
@@ -196,8 +197,8 @@ TEST_F(ParallelSortTest, EmptyInputYieldsEmptyOutput) {
 
 TEST_F(ParallelSortTest, MissingSortColumnIsNotFound) {
   auto table = MakeLineitem(100, 0);
-  ParallelSortOp sort(std::make_unique<ParallelTableScanOp>(table.get()),
-                      {{"no_such_column", true}});
+  SortOp sort(std::make_unique<TableScanOp>(table.get()),
+              {{"no_such_column", true}});
   ExecContext ctx(platform_.get(), ExecOptions{});
   EXPECT_EQ(sort.Open(&ctx).code(), StatusCode::kNotFound);
 }
@@ -258,15 +259,18 @@ class FlakyRowsOp final : public Operator {
 };
 
 TEST_F(ParallelSortTest, SortOpChargesSpillExactlyOnceAcrossOpenRetry) {
-  // 1000 rows x 8 B; 2 KiB budget spills after the third 100-row batch.
-  // The first Open fails at batch 6, after spill writes began.
+  // 1000 rows x 8 B against a 2 KiB budget. The first Open fails at batch
+  // 6, mid-drain: runs are billed only once they have formed, so the
+  // failed attempt bills no spill at all, and the retry bills every
+  // spilled byte exactly once.
   SortOp sort(std::make_unique<FlakyRowsOp>(1000, 100, 6), {{"k", true}},
               /*memory_budget_bytes=*/2048, ssd_.get());
   ExecContext ctx(platform_.get(), ExecOptions{});
   EXPECT_EQ(sort.Open(&ctx).code(), StatusCode::kInternal);
-  EXPECT_TRUE(sort.spilled());  // sticky: the spill really happened
+  EXPECT_FALSE(sort.spilled());
 
   ASSERT_TRUE(sort.Open(&ctx).ok());
+  EXPECT_TRUE(sort.spilled());
   RecordBatch batch;
   bool eos = false;
   uint64_t rows = 0;
@@ -284,8 +288,7 @@ TEST_F(ParallelSortTest, SortOpChargesSpillExactlyOnceAcrossOpenRetry) {
   EXPECT_EQ(rows, 1000u);
 
   // Exactly-once accounting: all 8000 spilled bytes written once and read
-  // once — no double-billing of the pre-failure prefix on the retried
-  // drain.
+  // once.
   const QueryStats stats = ctx.Finish();
   EXPECT_EQ(stats.io_bytes, 2u * 8000u);
 }
@@ -296,16 +299,15 @@ TEST_F(ParallelSortTest, ParallelSortChargesSpillExactlyOnceAcrossOpenRetry) {
       static_cast<uint64_t>(table->schema().RowWidthBytes());
 
   // Scan-only I/O baseline: the in-memory sort adds no spill traffic.
-  ParallelSortOp in_memory(
-      std::make_unique<ParallelTableScanOp>(table.get()), Keys());
+  SortOp in_memory(std::make_unique<TableScanOp>(table.get()), Keys());
   const RunOutcome base = Run(&in_memory, 4);
 
   // A query retried end-to-end: the first Open completes — runs spilled,
   // merged, billed — before a downstream failure forces a second Open of
   // the same tree. The table is physically re-scanned (and re-billed), but
   // the runs are already on the spill device, so spill I/O bills once.
-  ParallelSortOp sort(std::make_unique<ParallelTableScanOp>(table.get()),
-                      Keys(), /*memory_budget_bytes=*/16 * 1024, ssd_.get());
+  SortOp sort(std::make_unique<TableScanOp>(table.get()), Keys(),
+              /*memory_budget_bytes=*/16 * 1024, ssd_.get());
   ExecOptions options;
   options.dop = 4;
   options.morsel_rows = 1024;

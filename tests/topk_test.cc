@@ -1,4 +1,4 @@
-// Edge-case tests for the top-k operators (TopKOp, ParallelTopKOp) and
+// Edge-case tests for the top-k operators (TopKOp, TopKOp) and
 // LimitOp: limit 0, limit > n, limits straddling batch boundaries, empty
 // children, all-equal keys (stability), and exactly-once spill accounting
 // across Open retries.
@@ -10,10 +10,10 @@
 
 #include "exec/filter_project.h"
 #include "exec/operator.h"
-#include "exec/parallel_scan.h"
 #include "exec/scan.h"
 #include "exec/sort_limit.h"
 #include "exec/topk.h"
+#include "naive_reference.h"
 #include "power/platform.h"
 #include "storage/ssd.h"
 #include "storage/table_storage.h"
@@ -87,12 +87,10 @@ std::vector<SortKey> KeyAsc() { return {{"key", true}}; }
 
 TEST_F(TopKTest, LimitZeroEmitsNothing) {
   auto table = MakeTable(500, 17);
-  TopKOp serial(std::make_unique<TableScanOp>(table.get()), KeyAsc(), 0);
-  EXPECT_TRUE(Run(&serial, 1).rows.empty());
-
-  ParallelTopKOp parallel(
-      std::make_unique<ParallelTableScanOp>(table.get()), KeyAsc(), 0);
-  EXPECT_TRUE(Run(&parallel, 4, 4096, 128).rows.empty());
+  for (int dop : {1, 4}) {
+    TopKOp topk(std::make_unique<TableScanOp>(table.get()), KeyAsc(), 0);
+    EXPECT_TRUE(Run(&topk, dop, 4096, 128).rows.empty()) << "dop=" << dop;
+  }
 
   LimitOp limit(std::make_unique<TableScanOp>(table.get()), 0);
   EXPECT_TRUE(Run(&limit, 1).rows.empty());
@@ -100,16 +98,14 @@ TEST_F(TopKTest, LimitZeroEmitsNothing) {
 
 TEST_F(TopKTest, LimitGreaterThanInputReturnsFullSortedOutput) {
   auto table = MakeTable(300, 11);
-  SortOp sort(std::make_unique<TableScanOp>(table.get()), KeyAsc());
-  const RunOutcome expected = Run(&sort, 1);
-  ASSERT_EQ(expected.rows.size(), 300u);
+  const naive::Rows expected =
+      naive::SortLimit(naive::Materialize(*table), KeyAsc());
+  ASSERT_EQ(expected.size(), 300u);
 
-  TopKOp serial(std::make_unique<TableScanOp>(table.get()), KeyAsc(), 5000);
-  EXPECT_EQ(Run(&serial, 1).rows, expected.rows);
-
-  ParallelTopKOp parallel(
-      std::make_unique<ParallelTableScanOp>(table.get()), KeyAsc(), 5000);
-  EXPECT_EQ(Run(&parallel, 4, 4096, 64).rows, expected.rows);
+  for (int dop : {1, 4}) {
+    TopKOp topk(std::make_unique<TableScanOp>(table.get()), KeyAsc(), 5000);
+    EXPECT_EQ(Run(&topk, dop, 4096, 64).rows, expected) << "dop=" << dop;
+  }
 
   LimitOp limit(std::make_unique<TableScanOp>(table.get()), 5000);
   EXPECT_EQ(Run(&limit, 1).rows.size(), 300u);
@@ -117,44 +113,39 @@ TEST_F(TopKTest, LimitGreaterThanInputReturnsFullSortedOutput) {
 
 TEST_F(TopKTest, LimitStraddlingBatchBoundaries) {
   auto table = MakeTable(1000, 37);
+  const RecordBatch input = naive::Materialize(*table);
   // 100-row output batches; limits cutting before, on, and after a batch
   // boundary all truncate exactly.
   for (const size_t k : {99u, 100u, 101u, 250u}) {
-    LimitOp ref(std::make_unique<SortOp>(
-                    std::make_unique<TableScanOp>(table.get()), KeyAsc()),
-                k);
-    const RunOutcome expected = Run(&ref, 1, /*batch_rows=*/100);
-    ASSERT_EQ(expected.rows.size(), k);
+    const naive::Rows expected = naive::SortLimit(input, KeyAsc(), k);
+    ASSERT_EQ(expected.size(), k);
 
-    TopKOp serial(std::make_unique<TableScanOp>(table.get()), KeyAsc(), k);
-    EXPECT_EQ(Run(&serial, 1, /*batch_rows=*/100).rows, expected.rows)
+    LimitOp sort_limit(std::make_unique<SortOp>(
+                           std::make_unique<TableScanOp>(table.get()),
+                           KeyAsc()),
+                       k);
+    EXPECT_EQ(Run(&sort_limit, 1, /*batch_rows=*/100, 128).rows, expected)
         << "k=" << k;
 
-    ParallelTopKOp parallel(
-        std::make_unique<ParallelTableScanOp>(table.get()), KeyAsc(), k);
-    EXPECT_EQ(Run(&parallel, 4, /*batch_rows=*/100, 128).rows, expected.rows)
-        << "k=" << k;
+    for (int dop : {1, 4}) {
+      TopKOp topk(std::make_unique<TableScanOp>(table.get()), KeyAsc(), k);
+      EXPECT_EQ(Run(&topk, dop, /*batch_rows=*/100, 128).rows, expected)
+          << "k=" << k << " dop=" << dop;
+    }
   }
 }
 
 TEST_F(TopKTest, EmptyChildYieldsEmptyOutput) {
   auto table = MakeTable(200, 13);
-  const auto none = Col("payload") < Lit(int64_t{-1});
-  TopKOp serial(
-      std::make_unique<FilterOp>(
-          std::make_unique<TableScanOp>(table.get(),
-                                        std::vector<std::string>{}, none),
-          none),
-      KeyAsc(), 10);
-  EXPECT_TRUE(Run(&serial, 1).rows.empty());
-
-  ParallelTopKOp parallel(
-      std::make_unique<ParallelTableScanOp>(
-          table.get(), std::vector<std::string>{}, nullptr, none),
-      KeyAsc(), 10);
-  const RunOutcome got = Run(&parallel, 4, 4096, 64);
-  EXPECT_TRUE(got.rows.empty());
-  EXPECT_EQ(parallel.num_runs(), 0u);
+  const auto none = [] { return Col("payload") < Lit(int64_t{-1}); };
+  for (int dop : {1, 4}) {
+    TopKOp topk(std::make_unique<TableScanOp>(
+                    table.get(), std::vector<std::string>{}, none(), none()),
+                KeyAsc(), 10);
+    const RunOutcome got = Run(&topk, dop, 4096, 64);
+    EXPECT_TRUE(got.rows.empty()) << "dop=" << dop;
+    EXPECT_EQ(topk.num_runs(), 0u) << "dop=" << dop;
+  }
 }
 
 TEST_F(TopKTest, AllEqualKeysKeepFirstKInputRows) {
@@ -163,31 +154,26 @@ TEST_F(TopKTest, AllEqualKeysKeepFirstKInputRows) {
   auto table = MakeTable(800, /*key_ndv=*/0);
   const size_t k = 25;
 
-  TopKOp serial(std::make_unique<TableScanOp>(table.get()), KeyAsc(), k);
-  const RunOutcome s = Run(&serial, 1);
-  ASSERT_EQ(s.rows.size(), k);
-  for (size_t r = 0; r < k; ++r) {
-    EXPECT_EQ(s.rows[r][1].i64, static_cast<int64_t>(r));
-  }
-
   for (int dop : {1, 2, 4, 8}) {
-    ParallelTopKOp parallel(
-        std::make_unique<ParallelTableScanOp>(table.get()), KeyAsc(), k);
-    const RunOutcome p = Run(&parallel, dop, 4096, 128);
-    EXPECT_EQ(p.rows, s.rows) << "dop=" << dop;
+    TopKOp topk(std::make_unique<TableScanOp>(table.get()), KeyAsc(), k);
+    const RunOutcome got = Run(&topk, dop, 4096, 128);
+    ASSERT_EQ(got.rows.size(), k) << "dop=" << dop;
+    for (size_t r = 0; r < k; ++r) {
+      EXPECT_EQ(got.rows[r][1].i64, static_cast<int64_t>(r)) << "dop=" << dop;
+    }
   }
 }
 
 TEST_F(TopKTest, SerialChildFallsBackToSingleRun) {
   auto table = MakeTable(600, 19);
-  // FilterOp is not a MorselSource, so the parallel operator degenerates to
-  // one candidate run over the whole input.
-  ParallelTopKOp parallel(
+  // FilterOp is not a MorselSource, so the operator drains it on the
+  // coordinator into one candidate run over the whole input.
+  TopKOp topk(
       std::make_unique<FilterOp>(std::make_unique<TableScanOp>(table.get()),
                                  Col("payload") < Lit(int64_t{400})),
       KeyAsc(), 30);
-  const RunOutcome got = Run(&parallel, 4);
-  EXPECT_EQ(parallel.num_runs(), 1u);
+  const RunOutcome got = Run(&topk, 4);
+  EXPECT_EQ(topk.num_runs(), 1u);
   ASSERT_EQ(got.rows.size(), 30u);
   for (size_t r = 1; r < got.rows.size(); ++r) {
     EXPECT_LE(got.rows[r - 1][0].i64, got.rows[r][0].i64);
@@ -196,15 +182,10 @@ TEST_F(TopKTest, SerialChildFallsBackToSingleRun) {
 
 TEST_F(TopKTest, MissingSortColumnIsNotFound) {
   auto table = MakeTable(50, 7);
-  TopKOp serial(std::make_unique<TableScanOp>(table.get()),
-                {{"no_such_column", true}}, 5);
+  TopKOp topk(std::make_unique<TableScanOp>(table.get()),
+              {{"no_such_column", true}}, 5);
   ExecContext ctx(platform_.get(), ExecOptions{});
-  EXPECT_EQ(serial.Open(&ctx).code(), StatusCode::kNotFound);
-
-  ParallelTopKOp parallel(std::make_unique<ParallelTableScanOp>(table.get()),
-                          {{"no_such_column", true}}, 5);
-  ExecContext ctx2(platform_.get(), ExecOptions{});
-  EXPECT_EQ(parallel.Open(&ctx2).code(), StatusCode::kNotFound);
+  EXPECT_EQ(topk.Open(&ctx).code(), StatusCode::kNotFound);
 }
 
 // --- Exactly-once accounting across Open retries ------------------------------
@@ -263,16 +244,18 @@ class FlakyRowsOp final : public Operator {
 };
 
 TEST_F(TopKTest, TopKChargesSpillExactlyOnceAcrossOpenRetry) {
-  // k = n, so the kept working set grows to all 1000 rows x 8 B and crosses
-  // the 2 KiB budget mid-drain. The first Open fails at batch 6, after
-  // spill writes began; the retry must not re-bill the written prefix.
+  // k = n, so the kept candidate set is all 1000 rows x 8 B, over the 2 KiB
+  // budget. The first Open fails at batch 6, mid-drain: candidates are
+  // billed only once their run has formed, so the failed attempt bills no
+  // spill, and the retry bills every kept byte exactly once.
   TopKOp topk(std::make_unique<FlakyRowsOp>(1000, 100, 6), {{"k", true}},
               1000, /*memory_budget_bytes=*/2048, ssd_.get());
   ExecContext ctx(platform_.get(), ExecOptions{});
   EXPECT_EQ(topk.Open(&ctx).code(), StatusCode::kInternal);
-  EXPECT_TRUE(topk.spilled());  // sticky: the spill really happened
+  EXPECT_FALSE(topk.spilled());
 
   ASSERT_TRUE(topk.Open(&ctx).ok());
+  EXPECT_TRUE(topk.spilled());
   RecordBatch batch;
   bool eos = false;
   uint64_t rows = 0;
@@ -300,17 +283,16 @@ TEST_F(TopKTest, ParallelTopKChargesSpillExactlyOnceAcrossOpenRetry) {
       static_cast<uint64_t>(table->schema().RowWidthBytes());
 
   // Scan-only I/O baseline: no budget, so no spill traffic.
-  ParallelTopKOp in_memory(std::make_unique<ParallelTableScanOp>(table.get()),
-                           KeyAsc(), 5000);
+  TopKOp in_memory(std::make_unique<TableScanOp>(table.get()), KeyAsc(),
+                   5000);
   const RunOutcome base = Run(&in_memory, 4, 4096, 512);
 
   // k = n keeps every candidate row, so the candidate set (5000 x 16 B)
   // crosses the 4 KiB budget and spills. The first Open completes before a
   // downstream failure forces a second Open of the same tree: the table is
   // re-scanned (and re-billed), the candidate runs are not re-billed.
-  ParallelTopKOp topk(std::make_unique<ParallelTableScanOp>(table.get()),
-                      KeyAsc(), 5000, /*memory_budget_bytes=*/4096,
-                      ssd_.get());
+  TopKOp topk(std::make_unique<TableScanOp>(table.get()), KeyAsc(), 5000,
+              /*memory_budget_bytes=*/4096, ssd_.get());
   ExecOptions options;
   options.dop = 4;
   options.batch_rows = 4096;
@@ -341,21 +323,18 @@ TEST_F(TopKTest, ParallelTopKChargesSpillExactlyOnceAcrossOpenRetry) {
 }
 
 TEST_F(TopKTest, SmallKNeverSpillsUnderTightBudget) {
-  // The whole point of the fusion: a k-row working set fits budgets the
-  // full sort cannot. 10 rows x 16 B << 2 KiB.
+  // The whole point of the fusion: a k-row working set per run fits
+  // budgets the full sort cannot. 5 runs x 10 rows x 16 B << 2 KiB.
   auto table = MakeTable(5000, 101);
-  TopKOp topk(std::make_unique<TableScanOp>(table.get()), KeyAsc(), 10,
-              /*memory_budget_bytes=*/2048, ssd_.get());
-  const RunOutcome got = Run(&topk, 1);
-  EXPECT_EQ(got.rows.size(), 10u);
-  EXPECT_FALSE(topk.spilled());
-
-  ParallelTopKOp parallel(std::make_unique<ParallelTableScanOp>(table.get()),
-                          KeyAsc(), 10, /*memory_budget_bytes=*/4096,
-                          ssd_.get());
-  const RunOutcome p = Run(&parallel, 4, 4096, 1024);
-  EXPECT_EQ(p.rows, got.rows);
-  EXPECT_FALSE(parallel.spilled());
+  const naive::Rows expected =
+      naive::SortLimit(naive::Materialize(*table), KeyAsc(), 10);
+  for (int dop : {1, 4}) {
+    TopKOp topk(std::make_unique<TableScanOp>(table.get()), KeyAsc(), 10,
+                /*memory_budget_bytes=*/2048, ssd_.get());
+    const RunOutcome got = Run(&topk, dop, 4096, 1024);
+    EXPECT_EQ(got.rows, expected) << "dop=" << dop;
+    EXPECT_FALSE(topk.spilled()) << "dop=" << dop;
+  }
 }
 
 TEST_F(TopKTest, LimitOpResetsEmittedCountAcrossOpenRetry) {
