@@ -27,9 +27,11 @@ using catalog::Column;
 using catalog::DataType;
 using catalog::Schema;
 
+/// Columns `key` (i % 400) and `v` (i).
 std::unique_ptr<storage::TableStorage> MakeTable(catalog::TableId id, int n,
+                                                 const char* key,
                                                  storage::StorageDevice* dev) {
-  Schema schema({Column{"k", DataType::kInt64, 8},
+  Schema schema({Column{key, DataType::kInt64, 8},
                  Column{"v", DataType::kInt64, 8}});
   auto table = std::make_unique<storage::TableStorage>(
       id, schema, storage::TableLayout::kColumn, dev);
@@ -44,6 +46,11 @@ std::unique_ptr<storage::TableStorage> MakeTable(catalog::TableId id, int n,
   return table;
 }
 
+/// The algorithm at the root of a plan's join tree.
+const char* RootAlgo(const optimizer::PhysicalPlan& plan) {
+  return JoinAlgorithmName(plan.join_nodes[plan.join_root].algo);
+}
+
 }  // namespace
 
 int Main() {
@@ -55,19 +62,18 @@ int Main() {
   power::SsdSpec ssd_spec;
   ssd_spec.read_bw_bytes_per_s = 100e6;
   storage::SsdDevice ssd("ssd", ssd_spec, platform->meter());
-  auto big = MakeTable(1, 20000, &ssd);
-  auto small = MakeTable(2, 400, &ssd);
+  auto big = MakeTable(1, 20000, "k", &ssd);
+  auto small = MakeTable(2, 400, "sk", &ssd);
 
   optimizer::QuerySpec spec;
-  spec.left.name = "big";
-  spec.left.variants = {big.get()};
-  spec.left.columns = {"k", "v"};
-  spec.right.emplace();
-  spec.right->name = "small";
-  spec.right->variants = {small.get()};
-  spec.right->columns = {"k"};
-  spec.left_key = "k";
-  spec.right_key = "k";
+  spec.relations.resize(2);
+  spec.relations[0].name = "big";
+  spec.relations[0].variants = {big.get()};
+  spec.relations[0].columns = {"k", "v"};
+  spec.relations[1].name = "small";
+  spec.relations[1].variants = {small.get()};
+  spec.relations[1].columns = {"sk"};
+  spec.edges = {{0, 1, "k", "sk"}};
 
   bench::Table table({"memory premium (x W/GiB)", "energy objective picks",
                       "energy est (J)", "perf objective picks"});
@@ -85,10 +91,10 @@ int Main() {
         planner.ChoosePlan(spec, optimizer::Objective::Performance());
     if (!energy_plan.ok() || !perf_plan.ok()) return 1;
 
-    const std::string ename = JoinAlgorithmName(energy_plan->join_algo);
+    const std::string ename = RootAlgo(*energy_plan);
     table.AddRow({bench::Fmt("%.0e", premium), ename,
                   bench::Fmt("%.3f", energy_plan->cost.joules),
-                  JoinAlgorithmName(perf_plan->join_algo)});
+                  RootAlgo(*perf_plan)});
     if (first_algo.empty()) first_algo = ename;
     last_algo = ename;
   }

@@ -1,29 +1,35 @@
-// N-way join ordering: JoinGraph analysis, bitmask-DP enumeration over
-// connected subgraphs, pricing of arbitrary join trees, operator
-// construction, and the fixed-order differential oracle.
+// The planner's one path: JoinGraph analysis, bitmask-DP enumeration over
+// connected subgraphs (a one-relation query is the graph with no edges),
+// pricing of arbitrary join trees, operator construction, and the
+// fixed-order differential oracle.
 //
 // Invariants this file maintains:
-//   - ChooseJoinGraphPlan sets plan.cost by calling the SAME pricing walk
-//     PricePlan dispatches to, so `PricePlan(spec, chosen)` reproduces the
-//     chosen cost bit-for-bit (the self-consistency contract tests assert).
+//   - ChoosePlan sets plan.cost by calling the SAME pricing walk PricePlan
+//     uses, so `PricePlan(spec, chosen)` reproduces the chosen cost
+//     bit-for-bit (the self-consistency contract tests assert).
 //   - The estimator feeds pricing only: every enumerated tree joins on real
 //     equi-join edges and applies the remaining crossing edges as residual
 //     filters, so all orders are row-equivalent regardless of estimates.
-//   - Physical join operators are reused unchanged; every leaf is a morsel
-//     scan with its filter fused in, and only a join whose LEFT child is
-//     such a leaf probes in parallel (upper joins consume materialized
-//     children serially) — which rule the serial/parallel instruction split
-//     below mirrors.
+//     Variants hold the same rows (Analyze checks schema and row count), so
+//     every leaf choice is row-equivalent too.
+//   - Physical join operators are reused unchanged. A seq-scan leaf is a
+//     morsel scan with its filter fused in, and only a join whose LEFT
+//     child is such a leaf probes in parallel (index-scan leaves and upper
+//     joins feed their parent serially) — which rule the serial/parallel
+//     instruction split below mirrors.
 
 #include "optimizer/join_order.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "exec/filter_project.h"
+#include "exec/index_scan.h"
 #include "exec/joins.h"
 #include "exec/scan.h"
 #include "optimizer/planner_internal.h"
@@ -41,41 +47,86 @@ constexpr double kResidualFilterInstrPerRow = 4.0;
 /// budget; beyond that the spec should be broken up.
 constexpr int kMaxRelations = 12;
 
-int PopCount(uint32_t x) {
-  int n = 0;
-  while (x != 0) {
-    x &= x - 1;
-    ++n;
+/// Columns relation `rel`'s scan must produce: requested columns (empty =
+/// all), filter inputs, incident edge keys, and any group-by / aggregate
+/// inputs living in its schema — sorted, so the order is deterministic.
+/// The one definition Analyze prices with and BuildJoinNode scans with.
+std::vector<std::string> ScanColumns(const QuerySpec& spec, int rel) {
+  const TableAlternatives& side = spec.Relations()[rel];
+  const catalog::Schema& schema = side.variants[0]->schema();
+  std::set<std::string> needed;
+  if (side.columns.empty()) {
+    for (const catalog::Column& c : schema.columns()) needed.insert(c.name);
+  } else {
+    needed.insert(side.columns.begin(), side.columns.end());
   }
-  return n;
+  internal::CollectColumns(side.filter, &needed);
+  for (const JoinEdge& e : spec.edges) {
+    if (e.left_rel == rel) needed.insert(e.left_key);
+    if (e.right_rel == rel) needed.insert(e.right_key);
+  }
+  for (const std::string& g : spec.group_by) needed.insert(g);
+  for (const exec::AggregateItem& item : spec.aggregates) {
+    internal::CollectColumns(item.input, &needed);
+  }
+  std::vector<std::string> cols;
+  for (const std::string& name : needed) {
+    if (schema.FindColumn(name) >= 0) cols.push_back(name);
+  }
+  return cols;
+}
+
+/// Rejects a relation whose variants could not all stand in for variant 0:
+/// a null variant, or one with other column names / types or row count.
+Status ValidateVariants(const TableAlternatives& rel) {
+  if (rel.variants.empty() || rel.variants[0] == nullptr) {
+    return Status::InvalidArgument("relation '" + rel.name +
+                                   "' has no variants");
+  }
+  const storage::TableStorage& base = *rel.variants[0];
+  for (size_t v = 1; v < rel.variants.size(); ++v) {
+    const std::string which =
+        "relation '" + rel.name + "' variant " + std::to_string(v);
+    const storage::TableStorage* t = rel.variants[v];
+    if (t == nullptr) return Status::InvalidArgument(which + " is null");
+    const std::vector<catalog::Column>& a = base.schema().columns();
+    const std::vector<catalog::Column>& b = t->schema().columns();
+    const bool same_columns = std::equal(
+        a.begin(), a.end(), b.begin(), b.end(),
+        [](const catalog::Column& x, const catalog::Column& y) {
+          return x.name == y.name && x.type == y.type;
+        });
+    if (!same_columns) {
+      return Status::InvalidArgument(
+          which + " differs from variant 0 in column names or types");
+    }
+    if (t->row_count() != base.row_count()) {
+      return Status::InvalidArgument(which +
+                                     " differs from variant 0 in row count");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
 StatusOr<JoinGraph> JoinGraph::Analyze(const QuerySpec& spec) {
-  const int n = static_cast<int>(spec.relations.size());
-  if (n < 2) {
-    return Status::InvalidArgument(
-        "join graph needs at least two relations");
-  }
+  const std::span<const TableAlternatives> rels = spec.Relations();
+  const int n = static_cast<int>(rels.size());
   if (n > kMaxRelations) {
     return Status::InvalidArgument("join graph exceeds relation cap");
   }
-  for (const TableAlternatives& rel : spec.relations) {
-    if (rel.variants.empty() || rel.variants[0] == nullptr) {
-      return Status::InvalidArgument("relation '" + rel.name +
-                                     "' has no variants");
-    }
+  for (const TableAlternatives& rel : rels) {
+    ECODB_RETURN_IF_ERROR(ValidateVariants(rel));
   }
   for (const JoinEdge& e : spec.edges) {
     if (e.left_rel < 0 || e.left_rel >= n || e.right_rel < 0 ||
         e.right_rel >= n || e.left_rel == e.right_rel) {
       return Status::InvalidArgument("join edge endpoints out of range");
     }
-    if (spec.relations[e.left_rel].variants[0]->schema().FindColumn(
-            e.left_key) < 0 ||
-        spec.relations[e.right_rel].variants[0]->schema().FindColumn(
-            e.right_key) < 0) {
+    if (rels[e.left_rel].variants[0]->schema().FindColumn(e.left_key) < 0 ||
+        rels[e.right_rel].variants[0]->schema().FindColumn(e.right_key) <
+            0) {
       return Status::NotFound("join edge key missing from relation schema");
     }
   }
@@ -87,44 +138,21 @@ StatusOr<JoinGraph> JoinGraph::Analyze(const QuerySpec& spec) {
   graph.scan_columns_.resize(n);
   graph.stats_.resize(n);
 
-  // Columns each relation's scan must produce: requested columns (empty =
-  // all), filter inputs, incident edge keys, and any group-by / aggregate
-  // inputs living in this schema. std::set keeps the order deterministic.
-  std::set<std::string> agg_cols;
-  for (const std::string& g : spec.group_by) agg_cols.insert(g);
-  for (const exec::AggregateItem& item : spec.aggregates) {
-    internal::CollectColumns(item.input, &agg_cols);
-  }
   std::set<std::string> seen_everywhere;
   for (int rel = 0; rel < n; ++rel) {
-    const TableAlternatives& side = spec.relations[rel];
+    const TableAlternatives& side = rels[rel];
     const catalog::Schema& schema = side.variants[0]->schema();
-    std::set<std::string> needed;
-    if (side.columns.empty()) {
-      for (const catalog::Column& c : schema.columns()) needed.insert(c.name);
-    } else {
-      needed.insert(side.columns.begin(), side.columns.end());
-    }
-    internal::CollectColumns(side.filter, &needed);
-    for (const JoinEdge& e : spec.edges) {
-      if (e.left_rel == rel) needed.insert(e.left_key);
-      if (e.right_rel == rel) needed.insert(e.right_key);
-    }
-    for (const std::string& name : agg_cols) {
-      if (schema.FindColumn(name) >= 0) needed.insert(name);
-    }
     std::vector<std::string>& cols = graph.scan_columns_[rel];
-    for (const std::string& name : needed) {
-      if (schema.FindColumn(name) < 0) continue;
-      cols.push_back(name);
+    cols = ScanColumns(spec, rel);
+    for (const std::string& name : cols) {
       // Join output columns must be nameable without JoinedSchema's "_r"
       // renames (residual filters and the differential oracle's canonical
       // projection address columns by name).
       if (!seen_everywhere.insert(name).second) {
         return Status::InvalidArgument(
             "column '" + name +
-            "' appears in multiple relations; N-way join graphs require "
-            "unique column names");
+            "' appears in multiple relations; join graphs require unique "
+            "column names");
       }
     }
     graph.widths_[rel] = internal::RowWidthOf(*side.variants[0], cols);
@@ -146,11 +174,10 @@ StatusOr<JoinGraph> JoinGraph::Analyze(const QuerySpec& spec) {
   graph.edge_sel_.resize(spec.edges.size());
   for (size_t i = 0; i < spec.edges.size(); ++i) {
     const JoinEdge& e = spec.edges[i];
-    const int li = spec.relations[e.left_rel].variants[0]->schema().FindColumn(
+    const int li = rels[e.left_rel].variants[0]->schema().FindColumn(
         e.left_key);
-    const int ri =
-        spec.relations[e.right_rel].variants[0]->schema().FindColumn(
-            e.right_key);
+    const int ri = rels[e.right_rel].variants[0]->schema().FindColumn(
+        e.right_key);
     const double ndv = std::max<double>(
         {1.0,
          static_cast<double>(graph.stats_[e.left_rel].columns[li]
@@ -231,15 +258,101 @@ double MaskWidth(const JoinGraph& graph, uint32_t mask) {
   return width;
 }
 
-/// Scan + pushed-down filter demand of one relation's leaf. Identical
-/// arithmetic to the 2-way path's side_demand (table-scan branch).
+/// The key range the relation's filter imposes on its indexed column;
+/// false when the relation has no usable index-scan path.
+bool IndexRange(const TableAlternatives& side, int64_t* lo, int64_t* hi) {
+  return side.index != nullptr && !side.index_column.empty() &&
+         Planner::ExtractKeyRange(side.filter, side.index_column, lo, hi);
+}
+
+/// One way to read a relation: which variant, through which access path.
+struct LeafChoice {
+  int variant = 0;
+  AccessPath path = AccessPath::kTableScan;
+};
+
+/// Every way a relation can be read, variant-major: the seq scan always,
+/// the index scan when the filter constrains the indexed column to a range.
+std::vector<LeafChoice> LeafChoices(const TableAlternatives& side) {
+  int64_t lo = INT64_MIN, hi = INT64_MAX;
+  const bool indexed = IndexRange(side, &lo, &hi);
+  std::vector<LeafChoice> choices;
+  for (int v = 0; v < static_cast<int>(side.variants.size()); ++v) {
+    choices.push_back({v, AccessPath::kTableScan});
+    if (indexed) choices.push_back({v, AccessPath::kIndexScan});
+  }
+  return choices;
+}
+
+/// Rejects a hand-built leaf the relation cannot realize: a variant out of
+/// range, or an index scan without an index range to walk.
+Status CheckLeaf(const TableAlternatives& side, const PlanJoinNode& node) {
+  if (node.variant < 0 ||
+      node.variant >= static_cast<int>(side.variants.size()) ||
+      side.variants[node.variant] == nullptr) {
+    return Status::InvalidArgument("join tree leaf variant out of range");
+  }
+  int64_t lo = INT64_MIN, hi = INT64_MAX;
+  if (node.path == AccessPath::kIndexScan && !IndexRange(side, &lo, &hi)) {
+    return Status::InvalidArgument(
+        "index-scan leaf on relation '" + side.name +
+        "' without a usable index range");
+  }
+  return Status::OK();
+}
+
+/// Index-path demand: real index page walk + heap-page fetch estimate.
+ResourceEstimate IndexScanDemand(const storage::TableStorage& table,
+                                 const storage::BTreeIndex& index,
+                                 int64_t lo, int64_t hi,
+                                 double estimated_matches,
+                                 size_t projected_columns) {
+  ResourceEstimate demand;
+  const double index_pages =
+      static_cast<double>(index.PagesForRange(lo, hi));
+  const double row_width =
+      std::max(1, table.schema().RowWidthBytes());
+  const double total_pages = std::max(
+      1.0, static_cast<double>(table.row_count()) * row_width / 8192.0);
+  // Coupon-collector estimate of distinct heap pages touched by m rows.
+  const double heap_pages =
+      total_pages * (1.0 - std::exp(-estimated_matches / total_pages));
+  if (table.device() != nullptr) {
+    demand.random_page_reads[table.device()] +=
+        static_cast<uint64_t>(index_pages + heap_pages + 0.5);
+  }
+  demand.cpu_instructions =
+      20.0 * static_cast<double>(index.height()) +
+      estimated_matches * static_cast<double>(projected_columns);
+  return demand;
+}
+
+/// Scan + pushed-down filter demand of relation `rel` read through
+/// `choice`: the zone-pruned morsel scan with the filter fused in, or the
+/// B-tree range walk with the filter applied to the fetched rows.
 ResourceEstimate LeafDemand(const QuerySpec& spec, const JoinGraph& graph,
-                            int rel, const exec::CostConstants& k) {
-  const TableAlternatives& side = spec.relations[rel];
-  const storage::TableStorage& t = *side.variants[0];
+                            int rel, LeafChoice choice,
+                            const exec::CostConstants& k) {
+  const TableAlternatives& side = spec.Relations()[rel];
+  const storage::TableStorage& t = *side.variants[choice.variant];
+  const std::vector<std::string>& cols = graph.scan_columns(rel);
+  int64_t lo = INT64_MIN, hi = INT64_MAX;
+  if (choice.path == AccessPath::kIndexScan && IndexRange(side, &lo, &hi)) {
+    const double rows = graph.filtered_rows(rel);
+    ResourceEstimate d =
+        IndexScanDemand(t, *side.index, lo, hi, rows, cols.size());
+    // Index descents are pointer chases on one core; the executor does not
+    // parallelize this path.
+    d.serial_cpu_instructions = d.cpu_instructions;
+    d.cpu_instructions = 0.0;
+    // Exact residual filtering over the fetched rows.
+    if (side.filter != nullptr) {
+      d.serial_cpu_instructions += side.filter->InstructionsPerRow() * rows;
+    }
+    return d;
+  }
   ResourceEstimate d = internal::PrunedScanDemand(
-      t, internal::ToIndexes(t.schema(), graph.scan_columns(rel)),
-      side.filter, k.decode_scale);
+      t, internal::ToIndexes(t.schema(), cols), side.filter, k.decode_scale);
   if (side.filter != nullptr) {
     d.cpu_instructions += side.filter->InstructionsPerRow() *
                           static_cast<double>(t.row_count());
@@ -247,22 +360,20 @@ ResourceEstimate LeafDemand(const QuerySpec& spec, const JoinGraph& graph,
   return d;
 }
 
-/// Adds one join node's demand on top of its children's. `left_is_leaf`
-/// decides probe attribution: a leaf left child is a morsel source, so its
-/// probe parallelizes; joins above joins probe serially.
-/// Returns the primary crossing edge index via `primary` (first by spec
-/// order — the same rule tree construction uses).
+/// Adds one join node's demand on top of its children's. `left_is_scan`
+/// decides probe attribution: a seq-scan leaf on the left is a morsel
+/// source, so its probe parallelizes; every other left child probes
+/// serially. The primary edge is the first crossing edge by spec order —
+/// the same rule tree construction uses.
 Status AddJoinDemand(const JoinGraph& graph, JoinAlgorithm algo,
-                     uint32_t lmask, uint32_t rmask, bool left_is_leaf,
+                     uint32_t lmask, uint32_t rmask, bool left_is_scan,
                      const exec::CostConstants& k, const CostModel& model,
-                     ResourceEstimate* demand, double* resident_bytes,
-                     int* primary) {
+                     ResourceEstimate* demand, double* resident_bytes) {
   const std::vector<int> crossing = graph.CrossingEdgeIndexes(lmask, rmask);
   if (crossing.empty()) {
     return Status::InvalidArgument(
         "join node has no crossing equi-join edge (cross product)");
   }
-  *primary = crossing[0];
   const double lrows = graph.EstimateRows(lmask);
   const double rrows = graph.EstimateRows(rmask);
   const double rows_primary =
@@ -273,7 +384,7 @@ Status AddJoinDemand(const JoinGraph& graph, JoinAlgorithm algo,
       demand->serial_cpu_instructions += k.hash_build_per_row * rrows;
       const double probe = k.hash_probe_per_row * lrows +
                            k.output_per_row * rows_primary;
-      if (left_is_leaf) {
+      if (left_is_scan) {
         demand->cpu_instructions += probe;
       } else {
         demand->serial_cpu_instructions += probe;
@@ -295,10 +406,6 @@ Status AddJoinDemand(const JoinGraph& graph, JoinAlgorithm algo,
           k.output_per_row * rows_primary;
       break;
     }
-    case JoinAlgorithm::kHashSwapped:
-      // The enumerator prices both orientations of every split instead.
-      return Status::InvalidArgument(
-          "kHashSwapped is not valid in N-way join trees");
   }
   // Residual crossing edges run as stacked equality filters over the
   // primary join's output (each one thins the stream for the next).
@@ -342,7 +449,9 @@ StatusOr<uint32_t> WalkJoinTree(const QuerySpec& spec, const JoinGraph& graph,
     if (node.relation >= graph.num_relations()) {
       return Status::InvalidArgument("join tree leaf relation out of range");
     }
-    demand->Merge(LeafDemand(spec, graph, node.relation, k));
+    ECODB_RETURN_IF_ERROR(CheckLeaf(spec.Relations()[node.relation], node));
+    demand->Merge(LeafDemand(spec, graph, node.relation,
+                             {node.variant, node.path}, k));
     return uint32_t{1} << node.relation;
   }
   ECODB_ASSIGN_OR_RETURN(
@@ -356,18 +465,19 @@ StatusOr<uint32_t> WalkJoinTree(const QuerySpec& spec, const JoinGraph& graph,
   if ((lmask & rmask) != 0) {
     return Status::InvalidArgument("join tree repeats a relation");
   }
-  const bool left_is_leaf = nodes[node.left].relation >= 0;
-  int primary = -1;
+  const PlanJoinNode& left = nodes[node.left];
+  const bool left_is_scan =
+      left.relation >= 0 && left.path == AccessPath::kTableScan;
   ECODB_RETURN_IF_ERROR(AddJoinDemand(graph, node.algo, lmask, rmask,
-                                      left_is_leaf, k, model, demand,
-                                      resident_bytes, &primary));
+                                      left_is_scan, k, model, demand,
+                                      resident_bytes));
   return lmask | rmask;
 }
 
-/// Estimated output cardinality of the tail before the LIMIT clamp:
-/// the root join's rows, reduced to the group count when aggregating.
-/// Mirrors the 2-way EstimateCardinalities group clamp, searching every
-/// relation's schema for each group column.
+/// Estimated output cardinality of the tail before the LIMIT clamp: the
+/// root's rows, reduced to the group count when aggregating (an NDV
+/// product bound, taking each group column's NDV from the first relation
+/// whose schema has it).
 double TailOutputRows(const QuerySpec& spec, const JoinGraph& graph,
                       double root_rows) {
   if (spec.aggregates.empty()) return root_rows;
@@ -376,7 +486,7 @@ double TailOutputRows(const QuerySpec& spec, const JoinGraph& graph,
     double ndv = 16.0;
     for (int rel = 0; rel < graph.num_relations(); ++rel) {
       const catalog::Schema& schema =
-          spec.relations[rel].variants[0]->schema();
+          spec.Relations()[rel].variants[0]->schema();
       const int i = schema.FindColumn(g);
       if (i >= 0 &&
           i < static_cast<int>(graph.stats(rel).columns.size())) {
@@ -391,13 +501,13 @@ double TailOutputRows(const QuerySpec& spec, const JoinGraph& graph,
   return std::min(root_rows, spec.group_by.empty() ? 1.0 : groups);
 }
 
-/// The one pricing routine for N-way plans: tree walk + tail + residency.
+/// The one pricing routine: tree walk + tail + residency.
 StatusOr<PlanCost> PriceGraphPlan(const QuerySpec& spec,
                                   const JoinGraph& graph,
                                   const PhysicalPlan& plan,
                                   const CostModel& model) {
   if (plan.join_root < 0 || plan.join_nodes.empty()) {
-    return Status::InvalidArgument("N-way plan has no join tree");
+    return Status::InvalidArgument("plan has no join tree");
   }
   const exec::CostConstants& k = model.params().costs;
   ResourceEstimate demand;
@@ -410,7 +520,7 @@ StatusOr<PlanCost> PriceGraphPlan(const QuerySpec& spec,
     return Status::InvalidArgument("join tree does not cover all relations");
   }
   const double root_rows = graph.EstimateRows(mask);
-  internal::PriceTail(spec, plan, model, root_rows,
+  internal::PriceTail(spec, plan.use_topk, model, root_rows,
                       TailOutputRows(spec, graph, root_rows),
                       MaskWidth(graph, mask), &demand);
   return PriceWithResidency(model, std::move(demand), resident_bytes,
@@ -421,6 +531,18 @@ StatusOr<PlanCost> PriceGraphPlan(const QuerySpec& spec,
 struct SubPlan {
   bool valid = false;
   int node = -1;  // arena index of this subtree's root
+  ResourceEstimate demand;
+  double resident_bytes = 0.0;
+};
+
+/// One way to produce a DP entry: a leaf choice (one-relation masks) or a
+/// split at `lmask` joined with `algo`, plus the top-k choice when it
+/// covers all relations.
+struct Candidate {
+  LeafChoice leaf;
+  uint32_t lmask = 0;
+  JoinAlgorithm algo = JoinAlgorithm::kHash;
+  bool use_topk = false;
   ResourceEstimate demand;
   double resident_bytes = 0.0;
   double scalar = std::numeric_limits<double>::infinity();
@@ -477,9 +599,10 @@ double SumIntermediateBytes(const std::vector<PlanJoinNode>& nodes,
 
 }  // namespace
 
-StatusOr<PhysicalPlan> Planner::ChooseJoinGraphPlan(
-    const QuerySpec& spec, const Objective& objective) const {
+StatusOr<PhysicalPlan> Planner::ChoosePlan(const QuerySpec& spec,
+                                           const Objective& objective) const {
   ECODB_ASSIGN_OR_RETURN(const JoinGraph graph, JoinGraph::Analyze(spec));
+  const std::span<const TableAlternatives> rels = spec.Relations();
   const exec::CostConstants& k = model_->params().costs;
   const int n = graph.num_relations();
   const uint32_t full = graph.full_mask();
@@ -494,114 +617,148 @@ StatusOr<PhysicalPlan> Planner::ChooseJoinGraphPlan(
   const int num_pstates =
       options_.enumerate_pstates ? model_->platform()->cpu().num_pstates()
                                  : 1;
+  // ORDER BY + LIMIT adds the fused top-k as a priced alternative: it wins
+  // at small k (bounded heap, no spill) and loses at k ~ n (the candidate
+  // merge covers all rows serially), so the fallback rule is purely
+  // cost-based.
   std::vector<bool> topk_choices = {false};
   if (!spec.order_by.empty() && spec.limit.has_value()) {
     topk_choices.push_back(true);
   }
+  // The tail's inputs are the same for every tree over all relations.
+  const double root_rows = graph.EstimateRows(full);
+  const double tail_rows = TailOutputRows(spec, graph, root_rows);
+  const double root_width = MaskWidth(graph, full);
 
   std::optional<PhysicalPlan> best;
   for (int dop : options_.dops) {
     for (int pstate = 0; pstate < num_pstates; ++pstate) {
+      // Keeps `cand` in `winner` when it prices lower. Partial masks
+      // compete on their own subplan price; the full mask competes on the
+      // whole plan's price, tail included, once per top-k choice — the
+      // price the chosen plan is billed at.
+      auto offer = [&](uint32_t mask, Candidate cand,
+                       std::optional<Candidate>* winner) {
+        const bool root = mask == full;
+        for (bool use_topk : root ? topk_choices : std::vector<bool>{false}) {
+          ResourceEstimate demand = cand.demand;
+          if (root) {
+            internal::PriceTail(spec, use_topk, *model_, root_rows, tail_rows,
+                                root_width, &demand);
+          }
+          const double scalar =
+              PriceWithResidency(*model_, std::move(demand),
+                                 cand.resident_bytes, dop, pstate)
+                  .Scalarize(objective);
+          if (!winner->has_value() || scalar < (*winner)->scalar) {
+            cand.use_topk = use_topk;
+            cand.scalar = scalar;
+            *winner = cand;
+          }
+        }
+      };
+
       // ---- DP over connected subgraphs at this (dop, pstate) ----
+      // Ascending mask order is a valid DP order: every proper submask is
+      // numerically smaller. One-relation masks choose the leaf's variant
+      // and access path; the submask loop enumerates ordered (l, r) pairs,
+      // so both hash-build orientations and bushy shapes are priced.
       std::vector<PlanJoinNode> arena;
       std::vector<SubPlan> subs(uint64_t{1} << n);
-      for (int rel = 0; rel < n; ++rel) {
-        SubPlan& leaf = subs[uint32_t{1} << rel];
-        PlanJoinNode node;
-        node.relation = rel;
-        node.est_rows = graph.filtered_rows(rel);
-        node.est_bytes = node.est_rows * graph.row_width(rel);
-        arena.push_back(std::move(node));
-        leaf.node = static_cast<int>(arena.size()) - 1;
-        leaf.demand = LeafDemand(spec, graph, rel, k);
-        leaf.scalar =
-            PriceWithResidency(*model_, leaf.demand, 0.0, dop, pstate)
-                .Scalarize(objective);
-        leaf.valid = true;
-      }
-      // Ascending mask order is a valid DP order: every proper submask is
-      // numerically smaller. The submask loop enumerates ordered (l, r)
-      // pairs, so both hash-build orientations and bushy shapes are priced.
+      bool use_topk = false;
       for (uint32_t mask = 1; mask <= full; ++mask) {
-        if (PopCount(mask) < 2) continue;
-        SubPlan& entry = subs[mask];
-        struct Best {
-          uint32_t lmask = 0;
-          JoinAlgorithm algo = JoinAlgorithm::kHash;
-          ResourceEstimate demand;
-          double resident_bytes = 0.0;
-          double scalar = std::numeric_limits<double>::infinity();
-        };
-        std::optional<Best> winner;
-        for (uint32_t l = (mask - 1) & mask; l != 0; l = (l - 1) & mask) {
-          const uint32_t r = mask ^ l;
-          const SubPlan& ls = subs[l];
-          const SubPlan& rs = subs[r];
-          if (!ls.valid || !rs.valid) continue;
-          if (graph.CrossingEdgeIndexes(l, r).empty()) continue;
-          const bool left_is_leaf = PopCount(l) == 1;
-          for (JoinAlgorithm algo : algos) {
-            ResourceEstimate demand = ls.demand;
-            demand.Merge(rs.demand);
-            double resident = ls.resident_bytes + rs.resident_bytes;
-            int primary = -1;
-            const Status st =
-                AddJoinDemand(graph, algo, l, r, left_is_leaf, k, *model_,
-                              &demand, &resident, &primary);
-            if (!st.ok()) continue;
-            const double scalar =
-                PriceWithResidency(*model_, demand, resident, dop, pstate)
-                    .Scalarize(objective);
-            if (!winner.has_value() || scalar < winner->scalar) {
-              winner = Best{l, algo, std::move(demand), resident, scalar};
+        std::optional<Candidate> winner;
+        if (std::has_single_bit(mask)) {
+          const int rel = std::countr_zero(mask);
+          for (const LeafChoice& choice : LeafChoices(rels[rel])) {
+            Candidate cand;
+            cand.leaf = choice;
+            cand.demand = LeafDemand(spec, graph, rel, choice, k);
+            offer(mask, std::move(cand), &winner);
+          }
+        } else {
+          for (uint32_t l = (mask - 1) & mask; l != 0; l = (l - 1) & mask) {
+            const uint32_t r = mask ^ l;
+            const SubPlan& ls = subs[l];
+            const SubPlan& rs = subs[r];
+            if (!ls.valid || !rs.valid) continue;
+            if (graph.CrossingEdgeIndexes(l, r).empty()) continue;
+            const PlanJoinNode& left = arena[ls.node];
+            const bool left_is_scan =
+                left.relation >= 0 && left.path == AccessPath::kTableScan;
+            for (JoinAlgorithm algo : algos) {
+              Candidate cand;
+              cand.lmask = l;
+              cand.algo = algo;
+              cand.demand = ls.demand;
+              cand.demand.Merge(rs.demand);
+              cand.resident_bytes = ls.resident_bytes + rs.resident_bytes;
+              if (!AddJoinDemand(graph, algo, l, r, left_is_scan, k, *model_,
+                                 &cand.demand, &cand.resident_bytes)
+                       .ok()) {
+                continue;
+              }
+              offer(mask, std::move(cand), &winner);
             }
           }
         }
         if (!winner.has_value()) continue;
-        entry.node =
-            EmitJoinNode(graph, &arena, subs[winner->lmask].node,
-                         subs[mask ^ winner->lmask].node, winner->algo,
-                         winner->lmask, mask ^ winner->lmask);
+        SubPlan& entry = subs[mask];
+        if (winner->lmask == 0) {
+          PlanJoinNode leaf;
+          leaf.relation = std::countr_zero(mask);
+          leaf.variant = winner->leaf.variant;
+          leaf.path = winner->leaf.path;
+          leaf.est_rows = graph.filtered_rows(leaf.relation);
+          leaf.est_bytes = leaf.est_rows * graph.row_width(leaf.relation);
+          arena.push_back(std::move(leaf));
+          entry.node = static_cast<int>(arena.size()) - 1;
+        } else {
+          entry.node =
+              EmitJoinNode(graph, &arena, subs[winner->lmask].node,
+                           subs[mask ^ winner->lmask].node, winner->algo,
+                           winner->lmask, mask ^ winner->lmask);
+        }
         entry.demand = std::move(winner->demand);
         entry.resident_bytes = winner->resident_bytes;
-        entry.scalar = winner->scalar;
         entry.valid = true;
+        if (mask == full) use_topk = winner->use_topk;
       }
       if (!subs[full].valid) {
         return Status::Internal("join DP found no plan for a connected graph");
       }
 
-      for (bool use_topk : topk_choices) {
-        PhysicalPlan plan;
-        plan.dop = dop;
-        plan.pstate = pstate;
-        plan.use_topk = use_topk;
-        plan.join_root =
-            CompactTree(arena, subs[full].node, &plan.join_nodes);
-        plan.est_intermediate_bytes =
-            SumIntermediateBytes(plan.join_nodes, plan.join_root);
-        double output_rows =
-            TailOutputRows(spec, graph, graph.EstimateRows(full));
-        if (spec.limit.has_value()) {
-          output_rows =
-              std::min(output_rows, static_cast<double>(*spec.limit));
-        }
-        plan.output_rows = output_rows;
-        ECODB_ASSIGN_OR_RETURN(plan.cost,
-                               PriceGraphPlan(spec, graph, plan, *model_));
-        if (!best.has_value() || plan.cost.Scalarize(objective) <
-                                     best->cost.Scalarize(objective)) {
-          best = std::move(plan);
-        }
+      PhysicalPlan plan;
+      plan.dop = dop;
+      plan.pstate = pstate;
+      plan.use_topk = use_topk;
+      plan.join_root = CompactTree(arena, subs[full].node, &plan.join_nodes);
+      plan.est_intermediate_bytes =
+          SumIntermediateBytes(plan.join_nodes, plan.join_root);
+      plan.output_rows =
+          spec.limit.has_value()
+              ? std::min(tail_rows, static_cast<double>(*spec.limit))
+              : tail_rows;
+      ECODB_ASSIGN_OR_RETURN(plan.cost,
+                             PriceGraphPlan(spec, graph, plan, *model_));
+      if (!best.has_value() || plan.cost.Scalarize(objective) <
+                                   best->cost.Scalarize(objective)) {
+        best = std::move(plan);
       }
     }
   }
-  if (!best.has_value()) return Status::Internal("no N-way plan enumerated");
+  if (!best.has_value()) return Status::Internal("no plan enumerated");
+  for (const PlanJoinNode& node : best->join_nodes) {
+    if (node.relation == 0) {
+      best->left_variant = node.variant;
+      best->left_path = node.path;
+    }
+  }
   return *best;
 }
 
-StatusOr<PlanCost> Planner::PriceJoinGraphPlan(const QuerySpec& spec,
-                                               const PhysicalPlan& plan) const {
+StatusOr<PlanCost> Planner::PricePlan(const QuerySpec& spec,
+                                      const PhysicalPlan& plan) const {
   ECODB_ASSIGN_OR_RETURN(const JoinGraph graph, JoinGraph::Analyze(spec));
   return PriceGraphPlan(spec, graph, plan, *model_);
 }
@@ -618,43 +775,28 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
   }
   const PlanJoinNode& node = plan.join_nodes[index];
   if (node.relation >= 0) {
-    if (node.relation >= static_cast<int>(spec.relations.size())) {
+    const std::span<const TableAlternatives> rels = spec.Relations();
+    if (node.relation >= static_cast<int>(rels.size())) {
       return Status::InvalidArgument("join tree leaf relation out of range");
     }
-    const TableAlternatives& side = spec.relations[node.relation];
-    const storage::TableStorage& t = *side.variants[0];
-    // Same columns the estimator assumed (JoinGraph::Analyze enforces they
-    // are computable from the spec alone, so recompute here).
-    std::set<std::string> agg_cols;
-    for (const std::string& g : spec.group_by) agg_cols.insert(g);
-    for (const exec::AggregateItem& item : spec.aggregates) {
-      internal::CollectColumns(item.input, &agg_cols);
-    }
-    std::set<std::string> needed;
-    if (side.columns.empty()) {
-      for (const catalog::Column& c : t.schema().columns()) {
-        needed.insert(c.name);
+    const TableAlternatives& side = rels[node.relation];
+    ECODB_RETURN_IF_ERROR(CheckLeaf(side, node));
+    const storage::TableStorage& t = *side.variants[node.variant];
+    std::vector<std::string> cols = ScanColumns(spec, node.relation);
+    int64_t lo = INT64_MIN, hi = INT64_MAX;
+    if (node.path == AccessPath::kIndexScan && IndexRange(side, &lo, &hi)) {
+      OperatorPtr scan = std::make_unique<exec::IndexScanOp>(
+          &t, side.index, std::move(cols), lo, hi);
+      if (side.filter != nullptr) {
+        scan = std::make_unique<exec::FilterOp>(std::move(scan), side.filter);
       }
-    } else {
-      needed.insert(side.columns.begin(), side.columns.end());
+      return scan;
     }
-    internal::CollectColumns(side.filter, &needed);
-    for (const JoinEdge& e : spec.edges) {
-      if (e.left_rel == node.relation) needed.insert(e.left_key);
-      if (e.right_rel == node.relation) needed.insert(e.right_key);
-    }
-    for (const std::string& name : agg_cols) {
-      if (t.schema().FindColumn(name) >= 0) needed.insert(name);
-    }
-    std::vector<std::string> cols;
-    for (const std::string& name : needed) {
-      if (t.schema().FindColumn(name) >= 0) cols.push_back(name);
-    }
-    // Morsel scan with the exact filter fused in; also the morsel source
-    // that lets a directly-attached hash join probe in parallel.
-    return OperatorPtr(
-        std::make_unique<exec::TableScanOp>(&t, cols, side.filter,
-                                            side.filter));
+    // Morsel scan with zone-map pruning and the exact filter fused in;
+    // also the morsel source that lets a directly-attached hash join probe
+    // in parallel.
+    return OperatorPtr(std::make_unique<exec::TableScanOp>(
+        &t, std::move(cols), side.filter, side.filter));
   }
 
   ECODB_ASSIGN_OR_RETURN(OperatorPtr left,
@@ -678,9 +820,6 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
           std::move(left), std::move(right),
           exec::Col(node.left_key) == exec::Col(node.right_key));
       break;
-    case JoinAlgorithm::kHashSwapped:
-      return Status::InvalidArgument(
-          "kHashSwapped is not valid in N-way join trees");
   }
   for (const JoinEdge& e : node.residual_edges) {
     joined = std::make_unique<exec::FilterOp>(
@@ -691,10 +830,10 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
 
 }  // namespace
 
-StatusOr<exec::OperatorPtr> Planner::BuildJoinGraphOperator(
+StatusOr<exec::OperatorPtr> Planner::BuildOperator(
     const QuerySpec& spec, const PhysicalPlan& plan) const {
   if (plan.join_root < 0 || plan.join_nodes.empty()) {
-    return Status::InvalidArgument("N-way plan has no join tree");
+    return Status::InvalidArgument("plan has no join tree");
   }
   ECODB_ASSIGN_OR_RETURN(exec::OperatorPtr root,
                          BuildJoinNode(spec, plan, plan.join_root));

@@ -1,4 +1,4 @@
-// Cost-based join ordering over an N-relation join graph.
+// Cost-based planning over a join graph: the planner's only path.
 //
 // The paper's Section 4.1 argues the time-optimal plan and the energy-
 // optimal plan diverge once operators are priced in Joules. One level up
@@ -10,7 +10,11 @@
 // programming over connected subgraphs (every connected (left, right)
 // partition of every connected subset, both orientations, so left-deep,
 // right-deep and bushy trees are all reachable), each subplan priced with
-// the two-term `seconds + lambda * joules` CostModel.
+// the two-term `seconds + lambda * joules` CostModel. Each leaf picks its
+// relation's cheapest (variant, access path); the full set's candidates
+// compete on the whole plan's price, post-join tail included. A query over
+// one relation is the graph with no edges, so the same DP picks its
+// variant, access path and top-k fusion.
 //
 // The cardinality estimator feeds PRICING ONLY, never correctness: every
 // enumerated order is row-equivalent by construction (equi-join edges are
@@ -36,15 +40,16 @@
 
 namespace ecodb::optimizer {
 
-/// Resolved, validated view of QuerySpec::relations/edges with memoized
+/// Resolved, validated view of QuerySpec::Relations()/edges with memoized
 /// per-subset cardinality estimates. Exposed so tests can compare subgraph
 /// estimates against true cardinalities (the q-error property suite).
 class JoinGraph {
  public:
-  /// Validates the graph (>= 2 relations, every edge endpoint and key
-  /// resolves, column names unique across relations, graph connected) and
-  /// resolves statistics: TableAlternatives::stats when provided, else a
-  /// fresh analyze of variant 0.
+  /// Validates the graph (1..12 relations; every variant non-null and equal
+  /// to variant 0 in column names, types and row count; every edge endpoint
+  /// and key resolves; column names unique across relations; graph
+  /// connected) and resolves statistics: TableAlternatives::stats when
+  /// provided, else a fresh analyze of variant 0.
   static StatusOr<JoinGraph> Analyze(const QuerySpec& spec);
 
   int num_relations() const { return static_cast<int>(filtered_rows_.size()); }
@@ -86,11 +91,12 @@ class JoinGraph {
   mutable std::unordered_map<uint32_t, double> rows_memo_;
 };
 
-/// The differential oracle's fixed join order: left-deep hash joins,
-/// relations appended in BFS order from relation 0 following spec edge
-/// order — deliberately estimate-free, so it cannot share a cardinality
-/// bug with the DP enumerator. Fills join_nodes/join_root (dop, pstate and
-/// cost are left for the caller).
+/// The differential oracle's fixed join order: left-deep hash joins over
+/// variant-0 seq scans, relations appended in BFS order from relation 0
+/// following spec edge order — deliberately estimate-free, so it cannot
+/// share a cardinality bug with the DP enumerator. Fills
+/// join_nodes/join_root (dop, pstate, top-k and cost are left for the
+/// caller); also the way to hand-build a plan's tree.
 StatusOr<PhysicalPlan> CanonicalJoinPlan(const QuerySpec& spec);
 
 }  // namespace ecodb::optimizer

@@ -1,15 +1,11 @@
 #include "optimizer/planner.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
+#include <cstdio>
 #include <set>
 
 #include "optimizer/planner_internal.h"
 
-#include "exec/filter_project.h"
-#include "exec/index_scan.h"
-#include "exec/joins.h"
 #include "exec/aggregate.h"
 #include "exec/scan.h"
 #include "exec/sort_limit.h"
@@ -35,8 +31,6 @@ const char* JoinAlgorithmName(JoinAlgorithm algo) {
   switch (algo) {
     case JoinAlgorithm::kHash:
       return "hash(build=right)";
-    case JoinAlgorithm::kHashSwapped:
-      return "hash(build=left)";
     case JoinAlgorithm::kMerge:
       return "sort-merge";
     case JoinAlgorithm::kNestedLoop:
@@ -99,9 +93,9 @@ ResourceEstimate PrunedScanDemand(const storage::TableStorage& table,
   return demand;
 }
 
-void PriceTail(const QuerySpec& spec, const PhysicalPlan& plan,
-               const CostModel& model, double in_rows, double output_rows,
-               double input_width, ResourceEstimate* demand) {
+void PriceTail(const QuerySpec& spec, bool use_topk, const CostModel& model,
+               double in_rows, double output_rows, double input_width,
+               ResourceEstimate* demand) {
   const exec::CostConstants& k = model.params().costs;
   if (!spec.aggregates.empty()) {
     // Group updates run in thread-local partials; the merged-table emission
@@ -124,7 +118,7 @@ void PriceTail(const QuerySpec& spec, const PhysicalPlan& plan,
     }
     const double budget =
         static_cast<double>(spec.sort_memory_budget_bytes);
-    if (plan.use_topk && spec.limit.has_value()) {
+    if (use_topk && spec.limit.has_value()) {
       // Fused top-k: O(n log k) comparisons, and only the k-row candidate
       // set is held (and, if even that overflows the budget, spilled) —
       // zero spill bytes whenever k rows fit the budget.
@@ -180,73 +174,6 @@ exec::OperatorPtr FinishOperatorTree(const QuerySpec& spec,
 }
 
 }  // namespace internal
-
-namespace {
-
-using internal::CollectColumns;
-using internal::PrunedScanDemand;
-using internal::RowWidthOf;
-using internal::ToIndexes;
-
-/// Columns a scan of `table` must produce for this query.
-std::vector<std::string> ScanColumnsFor(const TableAlternatives& table,
-                                        const QuerySpec& spec,
-                                        bool is_left) {
-  const catalog::Schema& schema = table.variants[0]->schema();
-  std::set<std::string> needed;
-  if (table.columns.empty()) {
-    for (const catalog::Column& c : schema.columns()) needed.insert(c.name);
-  } else {
-    needed.insert(table.columns.begin(), table.columns.end());
-  }
-  CollectColumns(table.filter, &needed);
-  if (spec.right.has_value()) {
-    needed.insert(is_left ? spec.left_key : spec.right_key);
-  }
-  // Group-by / aggregate inputs that live in this table's schema.
-  std::set<std::string> agg_cols;
-  for (const std::string& g : spec.group_by) agg_cols.insert(g);
-  for (const exec::AggregateItem& item : spec.aggregates) {
-    CollectColumns(item.input, &agg_cols);
-  }
-  for (const std::string& name : agg_cols) {
-    if (schema.FindColumn(name) >= 0) needed.insert(name);
-  }
-  // Keep only columns that actually exist here.
-  std::vector<std::string> out;
-  for (const std::string& name : needed) {
-    if (schema.FindColumn(name) >= 0) out.push_back(name);
-  }
-  return out;
-}
-
-/// Index-path demand: real index page walk + heap-page fetch estimate.
-ResourceEstimate IndexScanDemand(const storage::TableStorage& table,
-                                 const storage::BTreeIndex& index,
-                                 int64_t lo, int64_t hi,
-                                 double estimated_matches,
-                                 size_t projected_columns) {
-  ResourceEstimate demand;
-  const double index_pages =
-      static_cast<double>(index.PagesForRange(lo, hi));
-  const double row_width =
-      std::max(1, table.schema().RowWidthBytes());
-  const double total_pages = std::max(
-      1.0, static_cast<double>(table.row_count()) * row_width / 8192.0);
-  // Coupon-collector estimate of distinct heap pages touched by m rows.
-  const double heap_pages =
-      total_pages * (1.0 - std::exp(-estimated_matches / total_pages));
-  if (table.device() != nullptr) {
-    demand.random_page_reads[table.device()] +=
-        static_cast<uint64_t>(index_pages + heap_pages + 0.5);
-  }
-  demand.cpu_instructions =
-      20.0 * static_cast<double>(index.height()) +
-      estimated_matches * static_cast<double>(projected_columns);
-  return demand;
-}
-
-}  // namespace
 
 bool Planner::ExtractKeyRange(const ExprPtr& filter,
                               const std::string& column, int64_t* lo,
@@ -318,7 +245,7 @@ bool Planner::ExtractKeyRange(const ExprPtr& filter,
 
 namespace {
 
-/// Renders the N-way join tree: leaves as `seq-scan(name)`, joins as
+/// Renders the join tree: leaves as `<path>(<name> v<variant>)`, joins as
 /// parenthesized `(left <algo> right)` with a `*` marking residual-edge
 /// filters — the full tree, so bench output shows the chosen order.
 std::string DescribeJoinNode(const QuerySpec& spec,
@@ -327,11 +254,13 @@ std::string DescribeJoinNode(const QuerySpec& spec,
   if (index < 0 || index >= static_cast<int>(nodes.size())) return "?";
   const PlanJoinNode& node = nodes[index];
   if (node.relation >= 0) {
+    const std::span<const TableAlternatives> rels = spec.Relations();
     const std::string name =
-        node.relation < static_cast<int>(spec.relations.size())
-            ? spec.relations[node.relation].name
+        node.relation < static_cast<int>(rels.size())
+            ? rels[node.relation].name
             : "rel" + std::to_string(node.relation);
-    return "seq-scan(" + name + ")";
+    return std::string(AccessPathName(node.path)) + "(" + name + " v" +
+           std::to_string(node.variant) + ")";
   }
   std::string out = "(" + DescribeJoinNode(spec, nodes, node.left) + " " +
                     JoinAlgorithmName(node.algo);
@@ -360,18 +289,7 @@ std::vector<int> PhysicalPlan::LeafOrder() const {
 }
 
 std::string PhysicalPlan::Describe(const QuerySpec& spec) const {
-  std::string out;
-  if (!join_nodes.empty()) {
-    out = DescribeJoinNode(spec, join_nodes, join_root);
-  } else {
-    out = std::string(AccessPathName(left_path)) + "(" + spec.left.name +
-          " v" + std::to_string(left_variant) + ")";
-    if (spec.right.has_value()) {
-      out += " " + std::string(JoinAlgorithmName(join_algo)) + " " +
-             AccessPathName(right_path) + "(" + spec.right->name + " v" +
-             std::to_string(right_variant) + ")";
-    }
-  }
+  std::string out = DescribeJoinNode(spec, join_nodes, join_root);
   if (!spec.aggregates.empty()) out += " -> aggregate";
   if (!spec.order_by.empty()) {
     if (use_topk && spec.limit.has_value()) {
@@ -588,358 +506,6 @@ double Planner::EstimateSelectivity(const ExprPtr& filter,
     default:
       return 0.33;
   }
-}
-
-StatusOr<Planner::Cardinalities> Planner::EstimateCardinalities(
-    const QuerySpec& spec) const {
-  if (spec.left.variants.empty()) {
-    return Status::InvalidArgument("left table has no variants");
-  }
-  Cardinalities cards;
-
-  catalog::TableStats lstats;
-  if (spec.left.stats != nullptr) {
-    lstats = *spec.left.stats;
-  } else {
-    ECODB_RETURN_IF_ERROR(spec.left.variants[0]->AnalyzeInto(&lstats));
-  }
-  const double lsel = EstimateSelectivity(
-      spec.left.filter, spec.left.variants[0]->schema(), lstats);
-  cards.left_rows =
-      static_cast<double>(spec.left.variants[0]->row_count()) * lsel;
-
-  if (!spec.right.has_value()) {
-    cards.output_rows = cards.left_rows;
-  } else {
-    if (spec.right->variants.empty()) {
-      return Status::InvalidArgument("right table has no variants");
-    }
-    catalog::TableStats rstats;
-    if (spec.right->stats != nullptr) {
-      rstats = *spec.right->stats;
-    } else {
-      ECODB_RETURN_IF_ERROR(spec.right->variants[0]->AnalyzeInto(&rstats));
-    }
-    const double rsel = EstimateSelectivity(
-        spec.right->filter, spec.right->variants[0]->schema(), rstats);
-    cards.right_rows =
-        static_cast<double>(spec.right->variants[0]->row_count()) * rsel;
-
-    // |L >< R| ~= |L| x |R| / max(ndv_l, ndv_r).
-    const int lk = spec.left.variants[0]->schema().FindColumn(spec.left_key);
-    const int rk =
-        spec.right->variants[0]->schema().FindColumn(spec.right_key);
-    if (lk < 0 || rk < 0) {
-      return Status::NotFound("join key column missing from table schema");
-    }
-    const double ndv = std::max<double>(
-        {1.0, static_cast<double>(lstats.columns[lk].distinct_values),
-         static_cast<double>(rstats.columns[rk].distinct_values)});
-    cards.join_rows = cards.left_rows * cards.right_rows / ndv;
-    cards.output_rows = cards.join_rows;
-  }
-
-  if (!spec.aggregates.empty()) {
-    // Output = number of groups; crude NDV product bound.
-    double groups = 1.0;
-    for (const std::string& g : spec.group_by) {
-      double ndv = 16.0;
-      const int li = spec.left.variants[0]->schema().FindColumn(g);
-      if (li >= 0 &&
-          li < static_cast<int>(lstats.columns.size())) {
-        ndv = std::max<double>(
-            1.0, static_cast<double>(lstats.columns[li].distinct_values));
-      }
-      groups *= ndv;
-    }
-    cards.output_rows = std::min(cards.output_rows,
-                                 spec.group_by.empty() ? 1.0 : groups);
-  }
-  return cards;
-}
-
-StatusOr<PlanCost> Planner::PriceInternal(const QuerySpec& spec,
-                                          const PhysicalPlan& plan,
-                                          const Cardinalities& cards) const {
-  const exec::CostConstants& k = model_->params().costs;
-  ResourceEstimate demand;
-
-  // Per-side access-path demand (seq scan with zone pruning, or index).
-  auto side_demand = [&](const TableAlternatives& side, bool is_left,
-                         int variant, AccessPath path, double out_rows) {
-    const storage::TableStorage& t = *side.variants[variant];
-    const std::vector<std::string> cols = ScanColumnsFor(side, spec, is_left);
-    ResourceEstimate d;
-    if (path == AccessPath::kIndexScan && side.index != nullptr) {
-      int64_t lo = INT64_MIN, hi = INT64_MAX;
-      if (ExtractKeyRange(side.filter, side.index_column, &lo, &hi)) {
-        d = IndexScanDemand(t, *side.index, lo, hi, out_rows, cols.size());
-        // Index descents are pointer chases on one core; the executor does
-        // not parallelize this path.
-        d.serial_cpu_instructions = d.cpu_instructions;
-        d.cpu_instructions = 0.0;
-        // Exact residual filtering over the fetched rows.
-        if (side.filter != nullptr) {
-          d.serial_cpu_instructions +=
-              side.filter->InstructionsPerRow() * out_rows;
-        }
-        return d;
-      }
-    }
-    d = PrunedScanDemand(t, ToIndexes(t.schema(), cols), side.filter,
-                         k.decode_scale);
-    if (side.filter != nullptr) {
-      d.cpu_instructions += side.filter->InstructionsPerRow() *
-                            static_cast<double>(t.row_count());
-    }
-    return d;
-  };
-
-  demand.Merge(side_demand(spec.left, true, plan.left_variant,
-                           plan.left_path, cards.left_rows));
-
-  double resident_bytes = 0.0;
-
-  if (spec.right.has_value()) {
-    const storage::TableStorage& lt = *spec.left.variants[plan.left_variant];
-    const storage::TableStorage& rt =
-        *spec.right->variants[plan.right_variant];
-    const std::vector<std::string> lcols =
-        ScanColumnsFor(spec.left, spec, true);
-    const std::vector<std::string> rcols =
-        ScanColumnsFor(*spec.right, spec, false);
-    demand.Merge(side_demand(*spec.right, false, plan.right_variant,
-                             plan.right_path, cards.right_rows));
-
-    const double lrows = cards.left_rows;
-    const double rrows = cards.right_rows;
-    const double lwidth = RowWidthOf(lt, lcols);
-    const double rwidth = RowWidthOf(rt, rcols);
-    // Serial vs parallel attribution mirrors the executor: hash builds,
-    // sorts, and nested-loop emission run on one core; the hash probe runs
-    // morsel-parallel over the left scan.
-    switch (plan.join_algo) {
-      case JoinAlgorithm::kHash: {
-        const double build_bytes = rrows * (rwidth + 32.0);
-        demand.serial_cpu_instructions += k.hash_build_per_row * rrows;
-        demand.cpu_instructions += k.hash_probe_per_row * lrows +
-                                   k.output_per_row * cards.join_rows;
-        demand.dram_traffic_bytes += static_cast<uint64_t>(build_bytes);
-        resident_bytes += build_bytes;
-        break;
-      }
-      case JoinAlgorithm::kHashSwapped: {
-        const double build_bytes = lrows * (lwidth + 32.0);
-        demand.serial_cpu_instructions += k.hash_build_per_row * lrows;
-        demand.cpu_instructions += k.hash_probe_per_row * rrows +
-                                   k.output_per_row * cards.join_rows;
-        demand.dram_traffic_bytes += static_cast<uint64_t>(build_bytes);
-        resident_bytes += build_bytes;
-        break;
-      }
-      case JoinAlgorithm::kMerge: {
-        // Both inputs sort under the external-sort model (run formation and
-        // merge fan-in parallelize; see CostModel::SortDemand) — total
-        // comparison work still n·log2(n) per side, only its Amdahl split
-        // changed. The merge walk and output emission stay serial.
-        demand.Merge(model_->SortDemand(lrows, 1));
-        demand.Merge(model_->SortDemand(rrows, 1));
-        demand.serial_cpu_instructions +=
-            2.0 * (lrows + rrows) + k.output_per_row * cards.join_rows;
-        break;
-      }
-      case JoinAlgorithm::kNestedLoop: {
-        demand.serial_cpu_instructions +=
-            k.nl_join_inner_per_pair * lrows * rrows +
-            k.output_per_row * cards.join_rows;
-        break;
-      }
-    }
-  }
-
-  // Post-join tail (aggregate / sort / top-k), shared with the N-way path.
-  double input_width = RowWidthOf(*spec.left.variants[plan.left_variant],
-                                  ScanColumnsFor(spec.left, spec, true));
-  if (spec.right.has_value()) {
-    input_width += RowWidthOf(*spec.right->variants[plan.right_variant],
-                              ScanColumnsFor(*spec.right, spec, false));
-  }
-  internal::PriceTail(spec, plan, *model_,
-                      spec.right.has_value() ? cards.join_rows
-                                             : cards.left_rows,
-                      cards.output_rows, input_width, &demand);
-
-  // Two-phase pricing: residency energy needs the plan duration.
-  PlanCost cost = model_->Price(demand, plan.dop, plan.pstate);
-  if (resident_bytes > 0) {
-    demand.resident_byte_seconds = resident_bytes * cost.seconds;
-    cost = model_->Price(demand, plan.dop, plan.pstate);
-  }
-  return cost;
-}
-
-StatusOr<PlanCost> Planner::PricePlan(const QuerySpec& spec,
-                                      const PhysicalPlan& plan) const {
-  if (!spec.relations.empty()) return PriceJoinGraphPlan(spec, plan);
-  ECODB_ASSIGN_OR_RETURN(Cardinalities cards, EstimateCardinalities(spec));
-  return PriceInternal(spec, plan, cards);
-}
-
-StatusOr<PhysicalPlan> Planner::ChoosePlan(const QuerySpec& spec,
-                                           const Objective& objective) const {
-  if (!spec.relations.empty()) return ChooseJoinGraphPlan(spec, objective);
-  ECODB_ASSIGN_OR_RETURN(Cardinalities cards, EstimateCardinalities(spec));
-
-  std::vector<JoinAlgorithm> algos;
-  if (!spec.right.has_value()) {
-    algos = {JoinAlgorithm::kHash};  // placeholder; unused without a join
-  } else if (options_.enumerate_join_algorithms) {
-    algos = {JoinAlgorithm::kHash, JoinAlgorithm::kHashSwapped,
-             JoinAlgorithm::kMerge, JoinAlgorithm::kNestedLoop};
-  } else {
-    algos = {JoinAlgorithm::kHash};
-  }
-  const int num_pstates =
-      options_.enumerate_pstates ? model_->platform()->cpu().num_pstates()
-                                 : 1;
-
-  auto paths_for = [](const TableAlternatives& side) {
-    std::vector<AccessPath> paths = {AccessPath::kTableScan};
-    int64_t lo, hi;
-    if (side.index != nullptr && !side.index_column.empty() &&
-        Planner::ExtractKeyRange(side.filter, side.index_column, &lo, &hi)) {
-      paths.push_back(AccessPath::kIndexScan);
-    }
-    return paths;
-  };
-  const std::vector<AccessPath> left_paths = paths_for(spec.left);
-  const std::vector<AccessPath> right_paths =
-      spec.right.has_value() ? paths_for(*spec.right)
-                             : std::vector<AccessPath>{AccessPath::kTableScan};
-
-  // ORDER BY + LIMIT adds the fused top-k as a priced alternative: it wins
-  // at small k (bounded heap, no spill) and loses at k ~ n (the candidate
-  // merge covers all rows serially), so the fallback rule is purely
-  // cost-based.
-  std::vector<bool> topk_choices = {false};
-  if (!spec.order_by.empty() && spec.limit.has_value()) {
-    topk_choices.push_back(true);
-  }
-
-  double output_rows = cards.output_rows;
-  if (spec.limit.has_value()) {
-    output_rows =
-        std::min(output_rows, static_cast<double>(*spec.limit));
-  }
-
-  std::optional<PhysicalPlan> best;
-  for (size_t lv = 0; lv < spec.left.variants.size(); ++lv) {
-    const size_t rv_count =
-        spec.right.has_value() ? spec.right->variants.size() : 1;
-    for (size_t rv = 0; rv < rv_count; ++rv) {
-      for (AccessPath lp : left_paths) {
-        for (AccessPath rp : right_paths) {
-          for (JoinAlgorithm algo : algos) {
-            for (int dop : options_.dops) {
-              for (int p = 0; p < num_pstates; ++p) {
-                for (bool use_topk : topk_choices) {
-                  PhysicalPlan plan;
-                  plan.left_variant = static_cast<int>(lv);
-                  plan.right_variant = static_cast<int>(rv);
-                  plan.left_path = lp;
-                  plan.right_path = rp;
-                  plan.join_algo = algo;
-                  plan.dop = dop;
-                  plan.pstate = p;
-                  plan.use_topk = use_topk;
-                  plan.output_rows = output_rows;
-                  ECODB_ASSIGN_OR_RETURN(plan.cost,
-                                         PriceInternal(spec, plan, cards));
-                  if (!best.has_value() ||
-                      plan.cost.Scalarize(objective) <
-                          best->cost.Scalarize(objective)) {
-                    best = plan;
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  if (!best.has_value()) return Status::Internal("no plan enumerated");
-  return *best;
-}
-
-StatusOr<exec::OperatorPtr> Planner::BuildOperator(
-    const QuerySpec& spec, const PhysicalPlan& plan) const {
-  using exec::OperatorPtr;
-
-  if (!spec.relations.empty()) return BuildJoinGraphOperator(spec, plan);
-
-  auto build_side = [&](const TableAlternatives& side, bool is_left,
-                        int variant, AccessPath path) -> OperatorPtr {
-    const storage::TableStorage& t = *side.variants[variant];
-    const std::vector<std::string> cols = ScanColumnsFor(side, spec, is_left);
-    int64_t lo = INT64_MIN, hi = INT64_MAX;
-    if (path == AccessPath::kIndexScan && side.index != nullptr &&
-        ExtractKeyRange(side.filter, side.index_column, &lo, &hi)) {
-      OperatorPtr scan = std::make_unique<exec::IndexScanOp>(
-          &t, side.index, cols, lo, hi);
-      if (side.filter != nullptr) {
-        scan = std::make_unique<exec::FilterOp>(std::move(scan), side.filter);
-      }
-      return scan;
-    }
-    // Morsel scan with zone-map pruning and the exact filter fused into
-    // the morsel loop.
-    return std::make_unique<exec::TableScanOp>(&t, cols, side.filter,
-                                               side.filter);
-  };
-
-  const storage::TableStorage& lt = *spec.left.variants[plan.left_variant];
-  OperatorPtr root =
-      build_side(spec.left, true, plan.left_variant, plan.left_path);
-  if (spec.right.has_value()) {
-    OperatorPtr right = build_side(*spec.right, false, plan.right_variant,
-                                   plan.right_path);
-    switch (plan.join_algo) {
-      case JoinAlgorithm::kHash:
-        root = std::make_unique<exec::HashJoinOp>(
-            std::move(root), std::move(right), spec.left_key,
-            spec.right_key);
-        break;
-      case JoinAlgorithm::kHashSwapped:
-        // Build on the left: swap children and key roles.
-        root = std::make_unique<exec::HashJoinOp>(
-            std::move(right), std::move(root), spec.right_key,
-            spec.left_key);
-        break;
-      case JoinAlgorithm::kMerge:
-        root = std::make_unique<exec::MergeJoinOp>(
-            std::move(root), std::move(right), spec.left_key,
-            spec.right_key);
-        break;
-      case JoinAlgorithm::kNestedLoop: {
-        // Predicate over the joined schema; the right key is renamed when
-        // it collides with a left column.
-        std::string rk = spec.right_key;
-        if (lt.schema().FindColumn(rk) >= 0 ||
-            spec.left.variants[plan.left_variant]
-                    ->schema()
-                    .FindColumn(rk) >= 0) {
-          rk += "_r";
-        }
-        root = std::make_unique<exec::NestedLoopJoinOp>(
-            std::move(root), std::move(right),
-            exec::Col(spec.left_key) == exec::Col(rk));
-        break;
-      }
-    }
-  }
-
-  return internal::FinishOperatorTree(spec, plan, std::move(root));
 }
 
 std::vector<int> DopLadder(int max_dop) {

@@ -1,11 +1,13 @@
 // Energy-aware physical planner.
 //
-// Given a logical query (scan [+ filter] [+ join] [+ aggregate]) and the
-// physical alternatives available — table variants with different layouts /
-// compression / devices, three join algorithms, DVFS states, degrees of
-// parallelism — the planner enumerates the combinations, prices each with
-// the two-objective CostModel, and returns the plan minimizing
-// `seconds + lambda * joules`.
+// Given a logical query (scan [+ filter] [+ joins] [+ aggregate] [+ order /
+// limit]) and the physical alternatives available — table variants with
+// different layouts / compression / devices, seq or index access paths,
+// three join algorithms, DVFS states, degrees of parallelism — the planner
+// prices every choice with the two-objective CostModel and returns the plan
+// minimizing `seconds + lambda * joules`. There is one planning path: every
+// query, a single-table scan included, is a join graph planned by the
+// bitmask DP in join_order.h.
 //
 // With lambda = 0 this is a classical performance optimizer. Raising lambda
 // reproduces the paper's headline behaviours: compressed scans lose to
@@ -17,6 +19,7 @@
 #define ECODB_OPTIMIZER_PLANNER_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,7 +38,9 @@ namespace ecodb::optimizer {
 /// physical design: layout, compression, device placement).
 struct TableAlternatives {
   std::string name;
-  std::vector<const storage::TableStorage*> variants;  // >= 1
+  /// >= 1, none null. Every variant must hold the same rows in the same
+  /// order under the same column names and types as variant 0.
+  std::vector<const storage::TableStorage*> variants;
   /// Columns the query needs from this table (empty = all).
   std::vector<std::string> columns;
   /// Optional pushed-down filter over this table's columns.
@@ -56,8 +61,8 @@ enum class AccessPath { kTableScan, kIndexScan };
 
 const char* AccessPathName(AccessPath path);
 
-/// One equi-join edge of an N-relation join graph: relations[left_rel].
-/// left_key = relations[right_rel].right_key.
+/// One equi-join edge of a join graph: Relations()[left_rel].left_key =
+/// Relations()[right_rel].right_key.
 struct JoinEdge {
   int left_rel = 0;
   int right_rel = 0;
@@ -65,20 +70,16 @@ struct JoinEdge {
   std::string right_key;
 };
 
-/// Logical query: left [JOIN right ON lk = rk] [WHERE ...] [GROUP BY ...]
-/// [ORDER BY ...] — or, when `relations` is non-empty, an N-relation join
-/// graph whose join ORDER the planner chooses by bitmask DP (join_order.h).
+/// Logical query: a join graph of `relations` connected by equi-join
+/// `edges` [WHERE ...] [GROUP BY ...] [ORDER BY ...] [LIMIT ...]. The
+/// planner chooses each relation's variant and access path, the join order
+/// and algorithms (join_order.h), dop, P-state and the top-k fusion.
 struct QuerySpec {
+  /// The one-relation spelling: the query's only table when `relations` is
+  /// empty (a graph with one relation and no edges).
   TableAlternatives left;
-  std::optional<TableAlternatives> right;
-  std::string left_key;   // join keys; used when right is present
-  std::string right_key;
-  /// N-way form: when non-empty, `relations` + `edges` supersede
-  /// left/right/left_key/right_key entirely. Requirements: the edge set
-  /// connects all relations (no cross products), every column name is
-  /// unique across relations, and each relation is planned on variant 0
-  /// with the table-scan access path (the N-way enumerator's scope; the
-  /// 2-way form keeps variant/index enumeration).
+  /// Requirements: the edge set connects all relations (no cross products)
+  /// and every column name is unique across relations.
   std::vector<TableAlternatives> relations;
   std::vector<JoinEdge> edges;
   std::vector<std::string> group_by;
@@ -99,18 +100,27 @@ struct QuerySpec {
   /// falling back to Sort + Limit otherwise (k ≈ n). Both paths emit
   /// byte-identical rows.
   std::optional<uint64_t> limit;
+
+  /// The relations the planner plans: `relations`, or `{left}` when it is
+  /// empty. Relation indexes (edges, plan leaves) refer to this span.
+  std::span<const TableAlternatives> Relations() const {
+    if (relations.empty()) return {&left, 1};
+    return relations;
+  }
 };
 
-enum class JoinAlgorithm { kHash, kHashSwapped, kMerge, kNestedLoop };
+/// Join algorithms. Hash joins build on the right child; the enumerator
+/// prices both orientations of every split.
+enum class JoinAlgorithm { kHash, kMerge, kNestedLoop };
 
 const char* JoinAlgorithmName(JoinAlgorithm algo);
 
-/// One node of an N-way join tree (leaf = one relation, internal = one
-/// join). Stored flat in PhysicalPlan::join_nodes; children by index.
-/// Hash joins build on the `right` child (the N-way enumerator prices both
-/// orientations of every split, so kHashSwapped never appears in trees).
+/// One node of a join tree (leaf = one relation, internal = one join).
+/// Stored flat in PhysicalPlan::join_nodes; children by index.
 struct PlanJoinNode {
-  int relation = -1;  // leaf: index into spec.relations; -1 for joins
+  int relation = -1;  // leaf: index into spec.Relations(); -1 for joins
+  int variant = 0;    // leaf: index into the relation's variants
+  AccessPath path = AccessPath::kTableScan;  // leaf: how it is read
   int left = -1;      // internal: child node indexes
   int right = -1;
   JoinAlgorithm algo = JoinAlgorithm::kHash;
@@ -125,18 +135,17 @@ struct PlanJoinNode {
 
 /// A fully specified physical plan plus its estimated cost.
 struct PhysicalPlan {
+  /// Relation 0's leaf choice, copied out by ChoosePlan for callers that
+  /// inspect a single-table plan. Pricing and building read the leaves.
   int left_variant = 0;
-  int right_variant = 0;
   AccessPath left_path = AccessPath::kTableScan;
-  AccessPath right_path = AccessPath::kTableScan;
-  JoinAlgorithm join_algo = JoinAlgorithm::kHash;
   int dop = 1;
   int pstate = 0;
   /// True when ORDER BY + LIMIT is fused into the bounded-heap top-k path
   /// (requires spec.order_by non-empty and spec.limit set).
   bool use_topk = false;
-  /// N-way join tree (set when spec.relations is non-empty): nodes plus the
-  /// root index, from the DP enumerator or CanonicalJoinPlan.
+  /// The join tree (a lone leaf for one relation): nodes plus the root
+  /// index, from the DP enumerator or CanonicalJoinPlan.
   std::vector<PlanJoinNode> join_nodes;
   int join_root = -1;
   /// Estimated bytes of all non-root intermediate join results (the bench's
@@ -149,8 +158,8 @@ struct PhysicalPlan {
   std::string Describe(const QuerySpec& spec) const;
 
   /// Leaf relations of the join tree in left-to-right order — the chosen
-  /// join order (empty for 2-way plans). Two plans over the same spec
-  /// joined in different orders differ here.
+  /// join order. Two plans over the same spec joined in different orders
+  /// differ here.
   std::vector<int> LeafOrder() const;
 };
 
@@ -189,7 +198,8 @@ class Planner {
   StatusOr<PlanCost> PricePlan(const QuerySpec& spec,
                                const PhysicalPlan& plan) const;
 
-  /// Constructs the executable operator tree realizing `plan`.
+  /// Constructs the executable operator tree realizing `plan` (whose join
+  /// tree must cover spec.Relations()).
   StatusOr<exec::OperatorPtr> BuildOperator(const QuerySpec& spec,
                                             const PhysicalPlan& plan) const;
 
@@ -206,29 +216,6 @@ class Planner {
                               int64_t* hi);
 
  private:
-  struct Cardinalities {
-    double left_rows = 0.0;
-    double right_rows = 0.0;
-    double join_rows = 0.0;
-    double output_rows = 0.0;
-  };
-
-  StatusOr<Cardinalities> EstimateCardinalities(const QuerySpec& spec) const;
-
-  StatusOr<PlanCost> PriceInternal(const QuerySpec& spec,
-                                   const PhysicalPlan& plan,
-                                   const Cardinalities& cards) const;
-
-  // N-way join-graph path (join_order.cc): bitmask-DP enumeration over
-  // connected subgraphs, pricing with the same model, building trees of the
-  // unchanged join operators.
-  StatusOr<PhysicalPlan> ChooseJoinGraphPlan(const QuerySpec& spec,
-                                             const Objective& objective) const;
-  StatusOr<PlanCost> PriceJoinGraphPlan(const QuerySpec& spec,
-                                        const PhysicalPlan& plan) const;
-  StatusOr<exec::OperatorPtr> BuildJoinGraphOperator(
-      const QuerySpec& spec, const PhysicalPlan& plan) const;
-
   CostModel* model_;
   PlannerOptions options_;
 };

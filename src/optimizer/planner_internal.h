@@ -1,7 +1,7 @@
-// Planner internals shared between the classic 2-way path (planner.cc) and
-// the N-way join-graph path (join_order.cc). Both paths must price and build
-// the post-join tail (aggregate / sort / top-k / limit) with bit-identical
-// arithmetic, so the tail lives here exactly once.
+// Planner building blocks defined in planner.cc and used by the join-graph
+// DP (join_order.cc): column and width helpers, the zone-pruned scan demand,
+// and the post-join tail (aggregate / sort / top-k / limit), priced and
+// built in exactly one place.
 
 #ifndef ECODB_OPTIMIZER_PLANNER_INTERNAL_H_
 #define ECODB_OPTIMIZER_PLANNER_INTERNAL_H_
@@ -37,10 +37,11 @@ ResourceEstimate PrunedScanDemand(const storage::TableStorage& table,
 /// input cardinality (the join output), `output_rows` its estimated final
 /// cardinality before the LIMIT clamp, and `input_width` the materialized
 /// byte width of one pre-aggregation row (used for sort sizing when no
-/// aggregate reshapes the rows).
-void PriceTail(const QuerySpec& spec, const PhysicalPlan& plan,
-               const CostModel& model, double in_rows, double output_rows,
-               double input_width, ResourceEstimate* demand);
+/// aggregate reshapes the rows). `use_topk` prices ORDER BY + LIMIT as the
+/// fused top-k.
+void PriceTail(const QuerySpec& spec, bool use_topk, const CostModel& model,
+               double in_rows, double output_rows, double input_width,
+               ResourceEstimate* demand);
 
 /// Wraps `root` with the operators realizing the post-join tail (aggregate,
 /// sort or fused top-k, limit). The same operators run at every plan.dop.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/scan.h"
+#include "optimizer/join_order.h"
 #include "optimizer/planner.h"
 #include "power/platform.h"
 #include "storage/btree.h"
@@ -172,10 +173,12 @@ TEST_F(AccessPathTest, NoIndexMeansNoIndexPath) {
 
 TEST_F(AccessPathTest, BothPathsReturnIdenticalRows) {
   const QuerySpec spec = SpecWithRange(500);
+  auto tree = CanonicalJoinPlan(spec);
+  ASSERT_TRUE(tree.ok());
   for (AccessPath path :
        {AccessPath::kTableScan, AccessPath::kIndexScan}) {
-    PhysicalPlan plan;
-    plan.left_path = path;
+    PhysicalPlan plan = *tree;
+    plan.join_nodes[plan.join_root].path = path;
     auto op = planner_->BuildOperator(spec, plan);
     ASSERT_TRUE(op.ok());
     exec::ExecContext ctx(platform_.get(), exec::ExecOptions{});
@@ -218,11 +221,12 @@ TEST_F(AccessPathTest, ZoneMapsLowerEstimatedScanCost) {
   spec.left.columns = {"id", "v"};
   spec.left.filter = Col("id") < Lit(int64_t{1000});
 
-  PhysicalPlan scan_plan;  // defaults: seq scan
-  auto before = planner_->PricePlan(spec, scan_plan);
+  auto scan_plan = CanonicalJoinPlan(spec);  // variant 0, seq scan
+  ASSERT_TRUE(scan_plan.ok());
+  auto before = planner_->PricePlan(spec, *scan_plan);
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(clustered.BuildZoneMaps(1000).ok());
-  auto after = planner_->PricePlan(spec, scan_plan);
+  auto after = planner_->PricePlan(spec, *scan_plan);
   ASSERT_TRUE(after.ok());
   EXPECT_LT(after->seconds, before->seconds / 5);
   EXPECT_LT(after->joules, before->joules);

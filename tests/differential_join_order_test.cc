@@ -3,11 +3,13 @@
 // canonical oracle, executed at dop 1/2/4/8.
 //
 // The oracle (CanonicalJoinPlan) is deliberately estimate-free — left-deep
-// hash joins in BFS edge order — so a cardinality-estimation bug in the DP
-// cannot cancel out in the comparison. For every generated case (varying
-// relation count, sizes, key-duplication domains, spanning-tree shape,
-// extra cyclic edges, pushed-down filters, optional grouped aggregation,
-// lambda, and the memory-power premium) the harness asserts:
+// hash joins over variant-0 seq scans in BFS edge order — so neither a
+// cardinality-estimation bug nor a wrong leaf choice in the DP can cancel
+// out in the comparison. For every generated case (varying relation count,
+// sizes, key-duplication domains, spanning-tree shape, extra cyclic edges,
+// pushed-down filters, compressed second variants, B-tree indexes on
+// filtered columns, optional grouped aggregation, lambda, and the
+// memory-power premium) the harness asserts:
 //   1. both plans' rows are byte-identical after projecting columns to a
 //      canonical name order and sorting rows (join output order is
 //      legitimately plan-dependent; content is not), and
@@ -33,6 +35,7 @@
 #include "optimizer/join_order.h"
 #include "optimizer/planner.h"
 #include "power/platform.h"
+#include "storage/btree.h"
 #include "storage/ssd.h"
 #include "storage/table_storage.h"
 #include "util/random.h"
@@ -60,6 +63,12 @@ struct CaseSpec {
   std::vector<int> rows;        // per relation
   std::vector<CaseEdge> edges;  // first num_rels-1 form a spanning tree
   std::vector<bool> filtered;   // payload filter pushed into this relation
+  /// Per relation (empty = none): a compressed clone as variant 1, and a
+  /// B-tree on the payload column (used when the relation is filtered).
+  std::vector<bool> compressed;
+  std::vector<bool> indexed;
+  /// Per filtered relation (empty = half its rows): rows its filter keeps.
+  std::vector<int> kept;
   bool aggregate = false;
   double lambda = 0.0;
   double premium = 1.0;
@@ -129,6 +138,11 @@ class DifferentialJoinOrderTest : public ::testing::Test {
     c.lambda = lambdas[rng.Uniform(0, 2)];
     const double premiums[] = {1.0, 1e4, 1e7};
     c.premium = premiums[rng.Uniform(0, 2)];
+    // Leaf alternatives, drawn last so the draws above stay as they were.
+    for (int i = 0; i < c.num_rels; ++i) {
+      c.compressed.push_back(rng.Bernoulli(0.5));
+      c.indexed.push_back(rng.Bernoulli(0.5));
+    }
     return c;
   }
 
@@ -141,8 +155,10 @@ class DifferentialJoinOrderTest : public ::testing::Test {
     return "p" + std::to_string(rel);
   }
 
+  /// Relation `rel`'s rows; `compressed` stores every column encoded.
   std::unique_ptr<storage::TableStorage> MakeRelation(const CaseSpec& c,
-                                                      int rel) {
+                                                      int rel,
+                                                      bool compressed) {
     std::vector<Column> schema_cols{
         Column{PayloadCol(rel), DataType::kInt64, 8}};
     std::vector<int> incident;
@@ -167,22 +183,59 @@ class DifferentialJoinOrderTest : public ::testing::Test {
       }
     }
     EXPECT_TRUE(table->Append(cols).ok());
+    if (compressed) {
+      EXPECT_TRUE(table
+                      ->SetCompression(PayloadCol(rel),
+                                       storage::CompressionKind::kDelta)
+                      .ok());
+      for (int e : incident) {
+        EXPECT_TRUE(table
+                        ->SetCompression(KeyCol(e, rel),
+                                         storage::CompressionKind::kFor)
+                        .ok());
+      }
+    }
     return table;
   }
 
+  /// Storage a case's spec points into.
+  struct CaseData {
+    std::vector<std::unique_ptr<storage::TableStorage>> tables;
+    std::vector<std::unique_ptr<storage::BTreeIndex>> indexes;
+  };
+
+  static bool Flag(const std::vector<bool>& flags, int rel) {
+    return rel < static_cast<int>(flags.size()) && flags[rel];
+  }
+
   /// Builds the N-way QuerySpec over freshly generated tables (kept in
-  /// `tables` so they outlive the returned spec).
-  QuerySpec MakeSpec(const CaseSpec& c,
-                     std::vector<std::unique_ptr<storage::TableStorage>>*
-                         tables) {
+  /// `data` so they outlive the returned spec).
+  QuerySpec MakeSpec(const CaseSpec& c, CaseData* data) {
     QuerySpec spec;
     for (int rel = 0; rel < c.num_rels; ++rel) {
-      tables->push_back(MakeRelation(c, rel));
       TableAlternatives side;
       side.name = "rel" + std::to_string(rel);
-      side.variants = {tables->back().get()};
+      data->tables.push_back(MakeRelation(c, rel, false));
+      side.variants = {data->tables.back().get()};
+      if (Flag(c.compressed, rel)) {
+        data->tables.push_back(MakeRelation(c, rel, true));
+        side.variants.push_back(data->tables.back().get());
+      }
       if (c.filtered[rel]) {
-        side.filter = Col(PayloadCol(rel)) < Lit(int64_t{c.rows[rel] / 2});
+        const int kept = rel < static_cast<int>(c.kept.size())
+                             ? c.kept[rel]
+                             : c.rows[rel] / 2;
+        side.filter = Col(PayloadCol(rel)) < Lit(int64_t{kept});
+        if (Flag(c.indexed, rel)) {
+          // The payload is the row number, so key i lives at row i.
+          auto index = std::make_unique<storage::BTreeIndex>();
+          for (int i = 0; i < c.rows[rel]; ++i) {
+            index->Insert(i, static_cast<uint64_t>(i));
+          }
+          side.index = index.get();
+          side.index_column = PayloadCol(rel);
+          data->indexes.push_back(std::move(index));
+        }
       }
       spec.relations.push_back(std::move(side));
     }
@@ -257,8 +310,8 @@ class DifferentialJoinOrderTest : public ::testing::Test {
   }
 
   void RunCase(const CaseSpec& c) {
-    std::vector<std::unique_ptr<storage::TableStorage>> tables;
-    const QuerySpec spec = MakeSpec(c, &tables);
+    CaseData data;
+    const QuerySpec spec = MakeSpec(c, &data);
 
     CostModelParams params;
     params.memory_power_premium = c.premium;
@@ -274,6 +327,11 @@ class DifferentialJoinOrderTest : public ::testing::Test {
               static_cast<size_t>(c.num_rels));
     auto oracle = CanonicalJoinPlan(spec);
     ASSERT_TRUE(oracle.ok()) << oracle.status().message();
+    for (const PlanJoinNode& node : chosen->join_nodes) {
+      if (node.relation < 0) continue;
+      if (node.variant != 0) ++compressed_leaves_;
+      if (node.path == AccessPath::kIndexScan) ++index_leaves_;
+    }
 
     std::optional<RunOutcome> expected;  // oracle at dop 1
     std::optional<QueryStats> chosen_base, oracle_base;
@@ -301,6 +359,10 @@ class DifferentialJoinOrderTest : public ::testing::Test {
 
   std::unique_ptr<power::HardwarePlatform> platform_;
   std::unique_ptr<storage::SsdDevice> ssd_;
+  /// Chosen-plan leaves that read the compressed variant / the index —
+  /// choices the variant-0 seq-scan oracle never makes.
+  int compressed_leaves_ = 0;
+  int index_leaves_ = 0;
 };
 
 TEST_F(DifferentialJoinOrderTest, RandomizedGraphsMatchOracleAtEveryDop) {
@@ -321,6 +383,10 @@ TEST_F(DifferentialJoinOrderTest, RandomizedGraphsMatchOracleAtEveryDop) {
     ++cases;
   }
   EXPECT_GE(cases, 50);  // the acceptance floor for randomized coverage
+  // The compressed clones are really chosen somewhere, so the draw covers
+  // leaves the oracle never reads. (On relations this small a seq scan
+  // always beats the index; the pinned case below covers index leaves.)
+  EXPECT_GT(compressed_leaves_, 0);
 }
 
 // Pinned regressions the random draw might miss.
@@ -353,6 +419,26 @@ TEST_F(DifferentialJoinOrderTest, HighLambdaTreeStillMatchesOracle) {
   c.lambda = 10.0;
   c.premium = 1e7;
   RunCase(c);
+}
+
+TEST_F(DifferentialJoinOrderTest, IndexAndCompressedLeavesMatchOracle) {
+  // A large relation filtered to 4 of its rows through an index, next to
+  // compressed clones: the DP reads it by index scan, the oracle by a
+  // variant-0 seq scan, and the rows must not change.
+  CaseSpec c;
+  c.seed = 303;
+  c.num_rels = 3;
+  c.rows = {20000, 200, 150};
+  c.filtered = {true, false, true};
+  c.kept = {4, 0, 75};
+  c.compressed = {false, true, true};
+  c.indexed = {true, false, true};
+  c.edges = {{0, 1, 16}, {1, 2, 150}};
+  c.lambda = 0.0;
+  c.premium = 1.0;
+  RunCase(c);
+  EXPECT_GT(index_leaves_, 0);
+  EXPECT_GT(compressed_leaves_, 0);
 }
 
 }  // namespace

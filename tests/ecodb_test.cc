@@ -230,15 +230,14 @@ TEST(EcoDb, JoinWithAggregateThroughFacade) {
   ASSERT_TRUE((*db)->Load("lineitem", tpch::GenerateLineitem(tconfig)).ok());
 
   optimizer::QuerySpec spec;
-  spec.left.name = "lineitem";
-  spec.left.variants = {*(*db)->table("lineitem")};
-  spec.left.columns = {"l_orderkey", "l_extendedprice"};
-  spec.right.emplace();
-  spec.right->name = "orders";
-  spec.right->variants = {*(*db)->table("orders")};
-  spec.right->columns = {"o_orderkey"};
-  spec.left_key = "l_orderkey";
-  spec.right_key = "o_orderkey";
+  spec.relations.resize(2);
+  spec.relations[0].name = "lineitem";
+  spec.relations[0].variants = {*(*db)->table("lineitem")};
+  spec.relations[0].columns = {"l_orderkey", "l_extendedprice"};
+  spec.relations[1].name = "orders";
+  spec.relations[1].variants = {*(*db)->table("orders")};
+  spec.relations[1].columns = {"o_orderkey"};
+  spec.edges = {{0, 1, "l_orderkey", "o_orderkey"}};
   exec::AggregateItem item;
   item.name = "revenue";
   item.func = exec::AggFunc::kSum;
@@ -249,6 +248,68 @@ TEST(EcoDb, JoinWithAggregateThroughFacade) {
   ASSERT_TRUE(outcome.ok());
   ASSERT_EQ(outcome->rows.TotalRows(), 1u);
   EXPECT_GT(outcome->rows.batches[0].GetValue(0, 0).f64, 0.0);
+}
+
+// --- Malformed variants are rejected before planning ---------------------------
+
+/// `sales` (100 rows) offered with a second physical variant.
+StatusCode ExecuteWithSecondVariant(EcoDb* db,
+                                    const storage::TableStorage* second) {
+  optimizer::QuerySpec spec;
+  spec.left.name = "sales";
+  spec.left.variants = {*db->table("sales"), second};
+  spec.left.columns = {"id", "amount"};
+  return db->Execute(spec, optimizer::Objective::Performance())
+      .status()
+      .code();
+}
+
+TEST(EcoDb, ExecuteRejectsNullVariant) {
+  auto db = EcoDb::Open(SsdConfig());
+  ASSERT_TRUE((*db)->CreateTable("sales", SalesSchema()).ok());
+  ASSERT_TRUE((*db)->Load("sales", SalesRows(100)).ok());
+  EXPECT_EQ(ExecuteWithSecondVariant(db->get(), nullptr),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(EcoDb, ExecuteRejectsVariantWithOtherColumns) {
+  auto db = EcoDb::Open(SsdConfig());
+  ASSERT_TRUE((*db)->CreateTable("sales", SalesSchema()).ok());
+  ASSERT_TRUE((*db)->Load("sales", SalesRows(100)).ok());
+  // Same rows, but `amount` is renamed: the variant cannot stand in.
+  ASSERT_TRUE((*db)
+                  ->CreateTable("renamed",
+                                Schema({Column{"id", DataType::kInt64, 8},
+                                        Column{"region", DataType::kString, 6},
+                                        Column{"total", DataType::kDouble, 8}}))
+                  .ok());
+  ASSERT_TRUE((*db)->Load("renamed", SalesRows(100)).ok());
+  EXPECT_EQ(ExecuteWithSecondVariant(db->get(), *(*db)->table("renamed")),
+            StatusCode::kInvalidArgument);
+  // Same names, but `amount` has another type.
+  ASSERT_TRUE((*db)
+                  ->CreateTable("retyped",
+                                Schema({Column{"id", DataType::kInt64, 8},
+                                        Column{"region", DataType::kString, 6},
+                                        Column{"amount", DataType::kInt64, 8}}))
+                  .ok());
+  std::vector<storage::ColumnData> rows = SalesRows(100);
+  rows[2].type = DataType::kInt64;
+  rows[2].i64.assign(rows[2].f64.begin(), rows[2].f64.end());
+  rows[2].f64.clear();
+  ASSERT_TRUE((*db)->Load("retyped", rows).ok());
+  EXPECT_EQ(ExecuteWithSecondVariant(db->get(), *(*db)->table("retyped")),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(EcoDb, ExecuteRejectsVariantWithOtherRowCount) {
+  auto db = EcoDb::Open(SsdConfig());
+  ASSERT_TRUE((*db)->CreateTable("sales", SalesSchema()).ok());
+  ASSERT_TRUE((*db)->Load("sales", SalesRows(100)).ok());
+  ASSERT_TRUE((*db)->CreateTable("short", SalesSchema()).ok());
+  ASSERT_TRUE((*db)->Load("short", SalesRows(60)).ok());
+  EXPECT_EQ(ExecuteWithSecondVariant(db->get(), *(*db)->table("short")),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(EcoDb, RunExecutesHandBuiltPlan) {

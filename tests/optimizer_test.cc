@@ -9,8 +9,10 @@
 
 #include "exec/scan.h"
 #include "optimizer/cost_model.h"
+#include "optimizer/join_order.h"
 #include "optimizer/planner.h"
 #include "power/platform.h"
+#include "storage/btree.h"
 #include "storage/ssd.h"
 #include "storage/table_storage.h"
 
@@ -33,9 +35,12 @@ class OptimizerTest : public ::testing::Test {
                                                 platform_->meter());
   }
 
-  std::unique_ptr<storage::TableStorage> MakeTable(catalog::TableId id,
-                                                   int n, int ndv) {
-    Schema schema({Column{"k", DataType::kInt64, 8},
+  /// Columns `key` (i % ndv), v (i) and w (i / 2). Tables joined in one
+  /// graph need distinct key names: column names are unique across
+  /// relations.
+  std::unique_ptr<storage::TableStorage> MakeTable(
+      catalog::TableId id, int n, int ndv, const std::string& key = "k") {
+    Schema schema({Column{key, DataType::kInt64, 8},
                    Column{"v", DataType::kInt64, 8},
                    Column{"w", DataType::kDouble, 8}});
     auto table = std::make_unique<storage::TableStorage>(
@@ -51,6 +56,51 @@ class OptimizerTest : public ::testing::Test {
     }
     EXPECT_TRUE(table->Append(cols).ok());
     return table;
+  }
+
+  /// `big` (columns k, v) joined to `small` on big.k = small.sk.
+  static QuerySpec JoinSpec(TableAlternatives big, TableAlternatives small) {
+    QuerySpec spec;
+    spec.relations = {std::move(big), std::move(small)};
+    spec.edges = {{0, 1, "k", "sk"}};
+    return spec;
+  }
+
+  static TableAlternatives Relation(std::string name,
+                                    std::vector<const storage::TableStorage*>
+                                        variants,
+                                    std::vector<std::string> columns) {
+    TableAlternatives rel;
+    rel.name = std::move(name);
+    rel.variants = std::move(variants);
+    rel.columns = std::move(columns);
+    return rel;
+  }
+
+  /// The chosen algorithm of a two-relation plan's join.
+  static JoinAlgorithm RootAlgo(const PhysicalPlan& plan) {
+    return plan.join_nodes[plan.join_root].algo;
+  }
+
+  /// The leaf node of relation `rel` in `plan`.
+  static const PlanJoinNode& Leaf(const PhysicalPlan& plan, int rel) {
+    for (const PlanJoinNode& node : plan.join_nodes) {
+      if (node.relation == rel) return node;
+    }
+    ADD_FAILURE() << "no leaf for relation " << rel;
+    return plan.join_nodes.front();
+  }
+
+  size_t CountRows(const Planner& planner, const QuerySpec& spec,
+                   const PhysicalPlan& plan) {
+    auto op = planner.BuildOperator(spec, plan);
+    EXPECT_TRUE(op.ok()) << op.status().message();
+    if (!op.ok()) return 0;
+    exec::ExecContext ctx(platform_.get(), exec::ExecOptions{});
+    auto rows = exec::CollectAll(op->get(), &ctx);
+    ctx.Finish();
+    EXPECT_TRUE(rows.ok()) << rows.status().message();
+    return rows.ok() ? rows->TotalRows() : 0;
   }
 
   CostModel MakeModel(double memory_premium = 1.0) {
@@ -211,30 +261,89 @@ TEST_F(OptimizerTest, CompressionVariantFlipsWithObjective) {
   EXPECT_EQ(energy_plan->left_variant, 0) << "energy picks uncompressed";
 }
 
+TEST_F(OptimizerTest, JoinLeafFlipsCompressionVariantWithObjective) {
+  // The same Figure 2 flip inside a join: the big relation's leaf chooses
+  // its variant under the objective, exactly as a lone scan does.
+  auto plain = MakeTable(1, 200000, 1000);
+  auto packed = MakeTable(2, 200000, 1000);
+  ASSERT_TRUE(
+      packed->SetCompression("v", storage::CompressionKind::kDelta).ok());
+  ASSERT_TRUE(
+      packed->SetCompression("k", storage::CompressionKind::kRle).ok());
+  auto small = MakeTable(3, 1000, 1000, "sk");
+
+  CostModelParams params;
+  params.costs.decode_scale = 40.0;
+  CostModel model(platform_.get(), params);
+  Planner planner(&model);
+  const QuerySpec spec =
+      JoinSpec(Relation("big", {plain.get(), packed.get()}, {"k", "v"}),
+               Relation("small", {small.get()}, {"sk"}));
+
+  auto perf_plan = planner.ChoosePlan(spec, Objective::Performance());
+  ASSERT_TRUE(perf_plan.ok()) << perf_plan.status().message();
+  auto energy_plan = planner.ChoosePlan(spec, Objective::Energy());
+  ASSERT_TRUE(energy_plan.ok()) << energy_plan.status().message();
+  EXPECT_EQ(Leaf(*perf_plan, 0).variant, 1) << perf_plan->Describe(spec);
+  EXPECT_NE(perf_plan->Describe(spec).find("seq-scan(big v1)"),
+            std::string::npos);
+  EXPECT_EQ(Leaf(*energy_plan, 0).variant, 0) << energy_plan->Describe(spec);
+
+  // Every variant holds the same rows: the compressed leaf joins to the
+  // same result as the variant-0 canonical plan.
+  auto canonical = CanonicalJoinPlan(spec);
+  ASSERT_TRUE(canonical.ok());
+  EXPECT_EQ(CountRows(planner, spec, *perf_plan), 200000u);
+  EXPECT_EQ(CountRows(planner, spec, *canonical), 200000u);
+}
+
+TEST_F(OptimizerTest, JoinLeafPicksIndexScanForNarrowRange) {
+  auto big = MakeTable(1, 200000, 1000);
+  auto small = MakeTable(2, 1000, 1000, "sk");
+  storage::BTreeIndex index;  // v = i at row i
+  for (int i = 0; i < 200000; ++i) index.Insert(i, static_cast<uint64_t>(i));
+  TableAlternatives rel = Relation("big", {big.get()}, {"k", "v"});
+  rel.filter =
+      exec::And(Col("v") >= Lit(int64_t{100}), Col("v") <= Lit(int64_t{119}));
+  rel.index = &index;
+  rel.index_column = "v";
+  const QuerySpec spec =
+      JoinSpec(std::move(rel), Relation("small", {small.get()}, {"sk"}));
+
+  CostModel model = MakeModel();
+  Planner planner(&model);
+  auto plan = planner.ChoosePlan(spec, Objective::Performance());
+  ASSERT_TRUE(plan.ok()) << plan.status().message();
+  EXPECT_EQ(Leaf(*plan, 0).path, AccessPath::kIndexScan)
+      << plan->Describe(spec);
+  EXPECT_NE(plan->Describe(spec).find("index-scan(big v0)"),
+            std::string::npos)
+      << plan->Describe(spec);
+
+  // 20 big rows, each matching one small row — through the index and
+  // through the variant-0 seq scans alike.
+  auto canonical = CanonicalJoinPlan(spec);
+  ASSERT_TRUE(canonical.ok());
+  EXPECT_EQ(CountRows(planner, spec, *plan), 20u);
+  EXPECT_EQ(CountRows(planner, spec, *canonical), 20u);
+}
+
 // --- Plan choice: the Section 4.1 join flip --------------------------------------
 
 TEST_F(OptimizerTest, MemoryPowerPremiumFlipsHashJoinToAlternative) {
   auto big = MakeTable(1, 20000, 500);
-  auto small = MakeTable(2, 400, 400);
+  auto small = MakeTable(2, 400, 400, "sk");
+  const QuerySpec spec =
+      JoinSpec(Relation("big", {big.get()}, {"k", "v"}),
+               Relation("small", {small.get()}, {"sk"}));
 
-  QuerySpec spec;
-  spec.left.name = "big";
-  spec.left.variants = {big.get()};
-  spec.left.columns = {"k", "v"};
-  spec.right.emplace();
-  spec.right->name = "small";
-  spec.right->variants = {small.get()};
-  spec.right->columns = {"k"};
-  spec.left_key = "k";
-  spec.right_key = "k";
-
-  // Cheap memory: hash join wins on both objectives.
+  // Cheap memory: hash join (either build side) wins on both objectives.
   CostModel cheap = MakeModel(/*memory_premium=*/1.0);
   Planner planner_cheap(&cheap);
   auto plan_cheap = planner_cheap.ChoosePlan(spec, Objective::Energy());
-  ASSERT_TRUE(plan_cheap.ok());
-  EXPECT_TRUE(plan_cheap->join_algo == JoinAlgorithm::kHash ||
-              plan_cheap->join_algo == JoinAlgorithm::kHashSwapped);
+  ASSERT_TRUE(plan_cheap.ok()) << plan_cheap.status().message();
+  EXPECT_EQ(RootAlgo(*plan_cheap), JoinAlgorithm::kHash)
+      << plan_cheap->Describe(spec);
 
   // Price memory residency like a scarce, power-hungry resource: the
   // energy objective should abandon the hash table.
@@ -242,57 +351,59 @@ TEST_F(OptimizerTest, MemoryPowerPremiumFlipsHashJoinToAlternative) {
   Planner planner_dear(&dear);
   auto plan_dear = planner_dear.ChoosePlan(spec, Objective::Energy());
   ASSERT_TRUE(plan_dear.ok());
-  EXPECT_TRUE(plan_dear->join_algo == JoinAlgorithm::kMerge ||
-              plan_dear->join_algo == JoinAlgorithm::kNestedLoop)
-      << JoinAlgorithmName(plan_dear->join_algo);
+  EXPECT_TRUE(RootAlgo(*plan_dear) == JoinAlgorithm::kMerge ||
+              RootAlgo(*plan_dear) == JoinAlgorithm::kNestedLoop)
+      << plan_dear->Describe(spec);
 
   // Performance objective is indifferent to the premium.
   auto plan_perf = planner_dear.ChoosePlan(spec, Objective::Performance());
   ASSERT_TRUE(plan_perf.ok());
-  EXPECT_TRUE(plan_perf->join_algo == JoinAlgorithm::kHash ||
-              plan_perf->join_algo == JoinAlgorithm::kHashSwapped);
+  EXPECT_EQ(RootAlgo(*plan_perf), JoinAlgorithm::kHash)
+      << plan_perf->Describe(spec);
 }
 
 // --- Built plans actually execute ------------------------------------------------
 
 TEST_F(OptimizerTest, AllJoinAlgorithmsBuildAndAgree) {
   auto big = MakeTable(1, 2000, 100);
-  auto small = MakeTable(2, 100, 100);
-
-  QuerySpec spec;
-  spec.left.name = "big";
-  spec.left.variants = {big.get()};
-  spec.left.columns = {"k", "v"};
-  spec.right.emplace();
-  spec.right->name = "small";
-  spec.right->variants = {small.get()};
-  spec.right->columns = {"k"};
-  spec.left_key = "k";
-  spec.right_key = "k";
+  auto small = MakeTable(2, 100, 100, "sk");
+  const QuerySpec spec =
+      JoinSpec(Relation("big", {big.get()}, {"k", "v"}),
+               Relation("small", {small.get()}, {"sk"}));
 
   CostModel model = MakeModel();
   Planner planner(&model);
 
+  // Hand-built trees: big >< small with each algorithm, plus the hash join
+  // flipped to build on big.
+  auto canonical = CanonicalJoinPlan(spec);
+  ASSERT_TRUE(canonical.ok()) << canonical.status().message();
+  std::vector<PhysicalPlan> plans;
+  for (JoinAlgorithm algo : {JoinAlgorithm::kHash, JoinAlgorithm::kMerge,
+                             JoinAlgorithm::kNestedLoop}) {
+    plans.push_back(*canonical);
+    plans.back().join_nodes[plans.back().join_root].algo = algo;
+  }
+  plans.push_back(*canonical);
+  PlanJoinNode& flipped = plans.back().join_nodes[plans.back().join_root];
+  std::swap(flipped.left, flipped.right);
+  std::swap(flipped.left_key, flipped.right_key);
+
   size_t expected_rows = 0;
-  for (JoinAlgorithm algo :
-       {JoinAlgorithm::kHash, JoinAlgorithm::kHashSwapped,
-        JoinAlgorithm::kMerge, JoinAlgorithm::kNestedLoop}) {
-    PhysicalPlan plan;
-    plan.join_algo = algo;
-    auto op = planner.BuildOperator(spec, plan);
-    ASSERT_TRUE(op.ok()) << JoinAlgorithmName(algo);
-    exec::ExecContext ctx(platform_.get(), exec::ExecOptions{});
-    auto rows = exec::CollectAll(op->get(), &ctx);
-    ctx.Finish();
-    ASSERT_TRUE(rows.ok()) << JoinAlgorithmName(algo);
+  for (const PhysicalPlan& plan : plans) {
+    const std::string desc = plan.Describe(spec);
+    const size_t rows = CountRows(planner, spec, plan);
     if (expected_rows == 0) {
-      expected_rows = rows->TotalRows();
-      EXPECT_GT(expected_rows, 0u);
+      expected_rows = rows;
+      EXPECT_GT(expected_rows, 0u) << desc;
     } else {
-      EXPECT_EQ(rows->TotalRows(), expected_rows)
-          << JoinAlgorithmName(algo);
+      EXPECT_EQ(rows, expected_rows) << desc;
     }
   }
+  EXPECT_NE(plans.back().Describe(spec).find(
+                "(seq-scan(small v0) hash(build=right) seq-scan(big v0))"),
+            std::string::npos)
+      << plans.back().Describe(spec);
 }
 
 TEST_F(OptimizerTest, FilteredPlanBuildsAndFilters) {
@@ -494,7 +605,9 @@ TEST_F(OptimizerTest, TopKPricingHasZeroSpillWhenKFitsBudget) {
 
   CostModel model = MakeModel();
   Planner planner(&model);
-  PhysicalPlan fused;
+  auto tree = CanonicalJoinPlan(spec);
+  ASSERT_TRUE(tree.ok());
+  PhysicalPlan fused = *tree;
   fused.use_topk = true;
   auto fused_cost = planner.PricePlan(spec, fused);
   ASSERT_TRUE(fused_cost.ok());
@@ -509,7 +622,7 @@ TEST_F(OptimizerTest, TopKPricingHasZeroSpillWhenKFitsBudget) {
   EXPECT_DOUBLE_EQ(fused_cost->joules, fused_no_device->joules);
 
   // The unfused plan spills all 50k rows; pricing must show it.
-  PhysicalPlan unfused;
+  PhysicalPlan unfused = *tree;
   unfused.use_topk = false;
   auto unfused_cost = planner.PricePlan(spec, unfused);
   auto unfused_no_device = planner.PricePlan(no_spill, unfused);
@@ -582,15 +695,14 @@ TEST_F(OptimizerTest, MalformedSpecsRejected) {
   EXPECT_FALSE(planner.ChoosePlan(empty, Objective::Performance()).ok());
 
   auto table = MakeTable(1, 10, 10);
-  QuerySpec bad_key;
-  bad_key.left.name = "t";
-  bad_key.left.variants = {table.get()};
-  bad_key.right.emplace();
-  bad_key.right->name = "t2";
-  bad_key.right->variants = {table.get()};
-  bad_key.left_key = "no_such";
-  bad_key.right_key = "k";
-  EXPECT_FALSE(planner.ChoosePlan(bad_key, Objective::Performance()).ok());
+  auto other = MakeTable(2, 10, 10, "sk");
+  QuerySpec bad_key = JoinSpec(Relation("t", {table.get()}, {"k"}),
+                               Relation("t2", {other.get()}, {"sk"}));
+  bad_key.edges = {{0, 1, "no_such", "sk"}};
+  EXPECT_EQ(planner.ChoosePlan(bad_key, Objective::Performance())
+                .status()
+                .code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(OptimizerTest, DescribeMentionsChoices) {
@@ -709,19 +821,50 @@ TEST_F(JoinOrderFlipTest, LambdaFlipsChosenJoinOrder) {
 }
 
 TEST_F(JoinOrderFlipTest, ChosenCostSelfConsistentWithPricePlan) {
-  const QuerySpec spec = MakeChainSpec();
+  // Besides the chain: one-relation specs with an index, with two
+  // variants, and with ORDER BY + LIMIT over both.
+  auto plain = MakeTable(1, 50000, 50);
+  auto packed = MakeTable(2, 50000, 50);
+  ASSERT_TRUE(
+      packed->SetCompression("v", storage::CompressionKind::kDelta).ok());
+  storage::BTreeIndex index;  // v = i at row i
+  for (int i = 0; i < 50000; ++i) index.Insert(i, static_cast<uint64_t>(i));
+  QuerySpec indexed;
+  indexed.left.name = "t";
+  indexed.left.variants = {plain.get()};
+  indexed.left.filter =
+      exec::And(Col("v") >= Lit(int64_t{10}), Col("v") <= Lit(int64_t{40}));
+  indexed.left.index = &index;
+  indexed.left.index_column = "v";
+  QuerySpec two_variants;
+  two_variants.left.name = "t";
+  two_variants.left.variants = {plain.get(), packed.get()};
+  two_variants.left.columns = {"k", "v"};
+  QuerySpec top = indexed;
+  top.left.variants = {plain.get(), packed.get()};
+  top.order_by = {{"v", false}};
+  top.limit = 10;
+  top.sort_memory_budget_bytes = 4 * 1024;
+  top.sort_spill_device = ssd_.get();
+
   CostModel model = MakeModel(1e6);
   Planner planner(&model);
-  for (double lambda : {0.0, 10.0}) {
-    SCOPED_TRACE("lambda=" + std::to_string(lambda));
-    auto plan = planner.ChoosePlan(spec, Objective::Balanced(lambda));
-    ASSERT_TRUE(plan.ok()) << plan.status().message();
-    auto repriced = planner.PricePlan(spec, *plan);
-    ASSERT_TRUE(repriced.ok()) << repriced.status().message();
-    // Bit-identical, not merely close: ChoosePlan's final cost must come
-    // from the same pricing walk PricePlan dispatches to.
-    EXPECT_EQ(plan->cost.seconds, repriced->seconds);
-    EXPECT_EQ(plan->cost.joules, repriced->joules);
+  const std::vector<QuerySpec> specs = {MakeChainSpec(), indexed,
+                                        two_variants, top};
+  for (size_t i = 0; i < specs.size(); ++i) {
+    for (double lambda : {0.0, 10.0}) {
+      const QuerySpec& spec = specs[i];
+      SCOPED_TRACE("spec " + std::to_string(i) +
+                   " lambda=" + std::to_string(lambda));
+      auto plan = planner.ChoosePlan(spec, Objective::Balanced(lambda));
+      ASSERT_TRUE(plan.ok()) << plan.status().message();
+      auto repriced = planner.PricePlan(spec, *plan);
+      ASSERT_TRUE(repriced.ok()) << repriced.status().message();
+      // Bit-identical, not merely close: ChoosePlan's final cost must come
+      // from the same pricing walk PricePlan uses.
+      EXPECT_EQ(plan->cost.seconds, repriced->seconds);
+      EXPECT_EQ(plan->cost.joules, repriced->joules);
+    }
   }
 }
 
@@ -733,9 +876,9 @@ TEST_F(JoinOrderFlipTest, DescribeRendersFullJoinTree) {
   ASSERT_TRUE(plan.ok());
   const std::string desc = plan->Describe(spec);
   // All three scans and two join operators appear in one parenthesized tree.
-  EXPECT_NE(desc.find("seq-scan(big)"), std::string::npos) << desc;
-  EXPECT_NE(desc.find("seq-scan(mid)"), std::string::npos) << desc;
-  EXPECT_NE(desc.find("seq-scan(fat)"), std::string::npos) << desc;
+  EXPECT_NE(desc.find("seq-scan(big v0)"), std::string::npos) << desc;
+  EXPECT_NE(desc.find("seq-scan(mid v0)"), std::string::npos) << desc;
+  EXPECT_NE(desc.find("seq-scan(fat v0)"), std::string::npos) << desc;
   EXPECT_NE(desc.find("("), std::string::npos) << desc;
 }
 
