@@ -97,10 +97,11 @@ int Main() {
   std::printf("energy-aware saves %.1f%% vs LRU and %.1f%% vs CLOCK\n",
               (1.0 - energy_aware / lru) * 100.0,
               (1.0 - energy_aware / clock_j) * 100.0);
-  const bool shape = energy_aware < lru && energy_aware < clock_j;
-  std::printf("shape check (energy-aware replacement uses least reload "
-              "energy): %s\n", shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+  bench::ShapeCheck check(
+      "energy-aware replacement uses least reload energy");
+  check.Expect(energy_aware < lru, "energy-aware spends more than LRU");
+  check.Expect(energy_aware < clock_j, "energy-aware spends more than CLOCK");
+  return check.Report();
 }
 
 }  // namespace ecodb

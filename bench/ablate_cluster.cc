@@ -100,13 +100,16 @@ int Main() {
   std::printf("consolidation saves %.0f%% of the day's energy at %d wake "
               "transitions\n",
               (1.0 - pack.joules / spread.joules) * 100.0, pack.wake_events);
-  const bool shape = pack_report.proportionality_index >
-                         spread_report.proportionality_index + 0.3 &&
-                     pack.joules < spread.joules * 0.7 &&
-                     pack.wake_events < 200;
-  std::printf("shape check (packing approaches proportionality and saves "
-              "energy at bounded churn): %s\n", shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+  bench::ShapeCheck check(
+      "packing approaches proportionality and saves energy at bounded churn");
+  check.Expect(pack_report.proportionality_index >
+                   spread_report.proportionality_index + 0.3,
+               "packing gains < 0.3 proportionality index");
+  check.Expect(pack.joules < spread.joules * 0.7,
+               "packing saves < 30% of the energy");
+  check.Expect(pack.wake_events < 200, "%d wake transitions",
+               pack.wake_events);
+  return check.Report();
 }
 
 }  // namespace ecodb

@@ -111,12 +111,16 @@ int Main() {
   }
   table.Print();
 
-  const bool shape = energy_at_low == "delta" && energy_at_high == "none" &&
-                     perf_any == "delta";
-  std::printf("shape check (low-power CPU compresses for energy, high-power "
-              "CPU does not; performance always compresses): %s\n",
-              shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+  bench::ShapeCheck check(
+      "low-power CPU compresses for energy, high-power CPU does not; "
+      "performance always compresses");
+  check.Expect(energy_at_low == "delta", "low-power CPU chose %s",
+               energy_at_low.c_str());
+  check.Expect(energy_at_high == "none", "high-power CPU chose %s",
+               energy_at_high.c_str());
+  check.Expect(perf_any == "delta", "performance objective chose %s",
+               perf_any.c_str());
+  return check.Report();
 }
 
 }  // namespace ecodb

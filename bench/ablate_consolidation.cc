@@ -103,11 +103,10 @@ int Main() {
               "latency\n",
               (1.0 - joules_maxbatch / joules_nobatch) * 100.0,
               lat_maxbatch / std::max(lat_nobatch, 1e-9));
-  const bool shape =
-      joules_maxbatch < joules_nobatch && lat_maxbatch > lat_nobatch;
-  std::printf("shape check (batching trades latency for energy): %s\n",
-              shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+  bench::ShapeCheck check("batching trades latency for energy");
+  check.Expect(joules_maxbatch < joules_nobatch, "batching saved no energy");
+  check.Expect(lat_maxbatch > lat_nobatch, "batching added no latency");
+  return check.Report();
 }
 
 }  // namespace ecodb

@@ -110,11 +110,13 @@ int Main() {
               coordinated.transitions
                   ? uncoordinated.transitions / coordinated.transitions
                   : uncoordinated.transitions);
-  const bool shape = uncoordinated.elapsed_s > coordinated.elapsed_s * 1.05 &&
-                     uncoordinated.joules > coordinated.joules;
-  std::printf("shape check (coordination is faster AND no worse on energy): "
-              "%s\n", shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+  bench::ShapeCheck check(
+      "coordination is faster AND no worse on energy");
+  check.Expect(uncoordinated.elapsed_s > coordinated.elapsed_s * 1.05,
+               "coordination is not 5% faster");
+  check.Expect(uncoordinated.joules > coordinated.joules,
+               "coordination costs more energy");
+  return check.Report();
 }
 
 }  // namespace ecodb

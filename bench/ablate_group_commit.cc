@@ -87,10 +87,10 @@ int Main() {
 
   std::printf("K=%d uses %.1f%% of the K=1 log energy\n", ks.back(),
               joules_kmax / joules_k1 * 100.0);
-  const bool shape = joules_kmax < joules_k1 * 0.5;
-  std::printf("shape check (larger batching factor cuts log energy): %s\n",
-              shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+  bench::ShapeCheck check("larger batching factor cuts log energy");
+  check.Expect(joules_kmax < joules_k1 * 0.5,
+               "K=%d keeps more than half the K=1 log energy", ks.back());
+  return check.Report();
 }
 
 }  // namespace ecodb

@@ -43,12 +43,10 @@ struct Outcome {
 
 Outcome Measure(power::HardwarePlatform* platform,
                 const std::function<exec::OperatorPtr()>& make_plan) {
-  exec::ExecContext ctx(platform, exec::ExecOptions{});
   exec::OperatorPtr plan = make_plan();
-  auto result = exec::CollectAll(plan.get(), &ctx);
-  if (!result.ok()) std::exit(1);
-  const exec::QueryStats stats = ctx.Finish();
-  return Outcome{stats.Joules(), stats.elapsed_seconds, result->TotalRows()};
+  const bench::PlanRun run = bench::RunPlan(platform, plan.get());
+  return Outcome{run.stats.Joules(), run.stats.elapsed_seconds,
+                 run.result.TotalRows()};
 }
 
 }  // namespace
@@ -130,10 +128,11 @@ int Main() {
   }
   out.Print();
 
-  const bool shape = low_sel_index_wins && high_sel_scan_wins;
-  std::printf("shape check (index wins at low selectivity, sequential scan "
-              "wins at high): %s\n", shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+  bench::ShapeCheck check(
+      "index wins at low selectivity, sequential scan wins at high");
+  check.Expect(low_sel_index_wins, "index never wins at low selectivity");
+  check.Expect(high_sel_scan_wins, "scan never wins at high selectivity");
+  return check.Report();
 }
 
 }  // namespace ecodb

@@ -100,11 +100,13 @@ int Main() {
   }
   table.Print();
 
-  const bool crossover = first_algo.find("hash") != std::string::npos &&
-                         last_algo.find("hash") == std::string::npos;
-  std::printf("shape check (cheap memory -> hash join; expensive memory -> "
-              "memory-frugal join): %s\n", crossover ? "PASS" : "FAIL");
-  return crossover ? 0 : 1;
+  bench::ShapeCheck check(
+      "cheap memory -> hash join; expensive memory -> memory-frugal join");
+  check.Expect(first_algo.find("hash") != std::string::npos,
+               "cheap memory chose %s", first_algo.c_str());
+  check.Expect(last_algo.find("hash") == std::string::npos,
+               "expensive memory chose %s", last_algo.c_str());
+  return check.Report();
 }
 
 }  // namespace ecodb

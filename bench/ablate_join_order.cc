@@ -199,26 +199,29 @@ int Main(bool smoke) {
   }
   table.Print();
 
-  std::printf("{\"schema\":\"ecodb.joinorder.v1\",\"bench\":\"ablate_join_"
-              "order\",\"seed\":%" PRIu64 ",\"scale_factor\":%.2f,"
-              "\"memory_power_premium\":%.0e,\"dram_watts_per_gib\":%.2f,"
-              "\"platform\":\"flash_scan\",\"algorithms\":\"hash_only\"}\n",
-              config.seed, config.scale_factor, kMemoryPremium,
-              kDramWattsPerGib);
+  bench::JsonLine()
+      .Str("schema", "ecodb.joinorder.v1").Str("bench", "ablate_join_order")
+      .Num("seed", "%" PRIu64, config.seed)
+      .Num("scale_factor", "%.2f", config.scale_factor)
+      .Num("memory_power_premium", "%.0e", kMemoryPremium)
+      .Num("dram_watts_per_gib", "%.2f", kDramWattsPerGib)
+      .Str("platform", "flash_scan").Str("algorithms", "hash_only").Print();
   for (const ShapeRun& run : runs) {
     for (const Point& p : run.points) {
-      std::printf("{\"schema\":\"ecodb.joinorder.v1\",\"shape\":\"%s\","
-                  "\"lambda\":%g,\"order\":\"%s\","
-                  "\"intermediate_bytes\":%.0f,\"est_seconds\":%.6f,"
-                  "\"est_joules\":%.4f}\n",
-                  run.name.c_str(), p.lambda, p.order.c_str(),
-                  p.intermediate_bytes, p.seconds, p.joules);
+      bench::JsonLine()
+          .Str("schema", "ecodb.joinorder.v1").Str("shape", run.name)
+          .Num("lambda", "%g", p.lambda).Str("order", p.order)
+          .Num("intermediate_bytes", "%.0f", p.intermediate_bytes)
+          .Num("est_seconds", "%.6f", p.seconds)
+          .Num("est_joules", "%.4f", p.joules).Print();
     }
   }
 
+  bench::ShapeCheck check(
+      ">=1 order flip across the lambda sweep; flips buy Joules with "
+      "seconds; replans are deterministic");
   // Shape check 1: some shape reorders as lambda grows.
   int flipped = 0;
-  bool flip_buys_joules = true;
   for (const ShapeRun& run : runs) {
     const Point& first = run.points.front();
     const Point& last = run.points.back();
@@ -226,13 +229,12 @@ int Main(bool smoke) {
     ++flipped;
     // Shape check 2: the reorder trades seconds for Joules, not the
     // reverse (costs are lambda-free, so the two plans compare directly).
-    if (!(last.joules < first.joules && last.seconds >= first.seconds)) {
-      flip_buys_joules = false;
-      std::printf("  FAIL: %s flipped but J %.3f -> %.3f, s %.4f -> %.4f\n",
-                  run.name.c_str(), first.joules, last.joules, first.seconds,
-                  last.seconds);
-    }
+    check.Expect(last.joules < first.joules && last.seconds >= first.seconds,
+                 "%s flipped but J %.3f -> %.3f, s %.4f -> %.4f",
+                 run.name.c_str(), first.joules, last.joules, first.seconds,
+                 last.seconds);
   }
+  check.Expect(flipped > 0, "no shape changed join order");
 
   // Shape check 3: both endpoints replan bit-exactly.
   bool deterministic = true;
@@ -247,13 +249,10 @@ int Main(bool smoke) {
     }
   }
 
-  const bool any_flip = flipped > 0;
-  std::printf("\nshape check (>=1 order flip across the lambda sweep; flips "
-              "buy Joules with seconds; replans are deterministic): %s\n",
-              any_flip && flip_buys_joules && deterministic ? "PASS" : "FAIL");
-  if (!any_flip) std::printf("  FAIL: no shape changed join order\n");
-  if (!deterministic) std::printf("  FAIL: replan diverged\n");
-  return any_flip && flip_buys_joules && deterministic ? 0 : 1;
+  check.Expect(deterministic, "replan diverged");
+
+  std::printf("\n");
+  return check.Report();
 }
 
 }  // namespace ecodb

@@ -29,12 +29,9 @@ struct Outcome {
 
 Outcome RunScan(const storage::TableStorage& table,
                 power::HardwarePlatform* platform) {
-  exec::ExecContext ctx(platform, exec::ExecOptions{});
   exec::TableScanOp scan(&table, std::vector<std::string>{
                                      "l_extendedprice", "l_shipdate"});
-  auto result = exec::CollectAll(&scan, &ctx);
-  if (!result.ok()) std::exit(1);
-  const exec::QueryStats stats = ctx.Finish();
+  const exec::QueryStats stats = bench::RunPlan(platform, &scan).stats;
   return Outcome{stats.elapsed_seconds, stats.Joules(), stats.io_bytes};
 }
 
@@ -90,12 +87,13 @@ int Main() {
               "less energy for this projection\n",
               static_cast<double>(row.bytes) / col.bytes,
               row.joules / col.joules);
-  const bool shape = col.bytes < row.bytes / 2 && col.joules < row.joules &&
-                     cmp.bytes < col.bytes;
-  std::printf("shape check (DSM reads and spends less on narrow "
-              "projections; compression shrinks it further): %s\n",
-              shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+  bench::ShapeCheck check(
+      "DSM reads and spends less on narrow projections; compression shrinks "
+      "it further");
+  check.Expect(col.bytes < row.bytes / 2, "DSM reads over half the NSM bytes");
+  check.Expect(col.joules < row.joules, "DSM spends more than NSM");
+  check.Expect(cmp.bytes < col.bytes, "compression did not shrink DSM");
+  return check.Report();
 }
 
 }  // namespace ecodb

@@ -115,11 +115,13 @@ int Main() {
   }
   table.Print();
 
-  const bool shape = short_stays && long_migrates && decisions_match;
-  std::printf("shape check (short horizon stays, long horizon migrates, "
-              "Evaluate agrees away from break-even): %s\n",
-              shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+  bench::ShapeCheck check(
+      "short horizon stays, long horizon migrates, Evaluate agrees away from "
+      "break-even");
+  check.Expect(short_stays, "short horizon migrated");
+  check.Expect(long_migrates, "long horizon stayed");
+  check.Expect(decisions_match, "Evaluate disagrees away from break-even");
+  return check.Report();
 }
 
 }  // namespace ecodb

@@ -72,15 +72,19 @@ int Main() {
               "its peak EE; the ideal one delivers %.0f%%\n",
               reports[0].relative_ee[30] * 100.0,
               reports[2].relative_ee[30] * 100.0);
-  const bool shape = reports[0].proportionality_index <
-                         reports[1].proportionality_index &&
-                     reports[1].proportionality_index <
-                         reports[2].proportionality_index &&
-                     reports[0].relative_ee[30] < 0.6 &&
-                     reports[2].relative_ee[30] > 0.95;
-  std::printf("shape check (EE at partial load ranks by proportionality): "
-              "%s\n", shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+  bench::ShapeCheck check("EE at partial load ranks by proportionality");
+  check.Expect(reports[0].proportionality_index <
+                       reports[1].proportionality_index &&
+                   reports[1].proportionality_index <
+                       reports[2].proportionality_index,
+               "proportionality index does not rank the curves");
+  check.Expect(reports[0].relative_ee[30] < 0.6,
+               "least proportional curve keeps %.2f of peak EE at 30%%",
+               reports[0].relative_ee[30]);
+  check.Expect(reports[2].relative_ee[30] > 0.95,
+               "ideal curve keeps %.2f of peak EE at 30%%",
+               reports[2].relative_ee[30]);
+  return check.Report();
 }
 
 }  // namespace ecodb

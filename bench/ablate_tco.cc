@@ -74,11 +74,13 @@ int Main() {
       target, OverdrivenNode(), EfficientNode(), advisor::TcoParams{});
   std::printf("parallelize-at-the-efficient-point overtakes overdrive at "
               "%.3f USD/kWh\n", crossover);
-  const bool shape = cheap_prefers_overdrive && dear_prefers_parallel &&
-                     crossover > prices.front() && crossover < prices.back();
-  std::printf("shape check (energy price flips the design, crossover inside "
-              "the sweep): %s\n", shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+  bench::ShapeCheck check(
+      "energy price flips the design, crossover inside the sweep");
+  check.Expect(cheap_prefers_overdrive, "cheap energy does not overdrive");
+  check.Expect(dear_prefers_parallel, "dear energy does not parallelize");
+  check.Expect(crossover > prices.front() && crossover < prices.back(),
+               "crossover %.3f USD/kWh outside the sweep", crossover);
+  return check.Report();
 }
 
 }  // namespace ecodb

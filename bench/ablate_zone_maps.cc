@@ -42,15 +42,13 @@ struct Outcome {
 Outcome RunScan(power::HardwarePlatform* platform,
                 const storage::TableStorage& table, exec::ExprPtr filter,
                 bool prune) {
-  exec::ExecContext ctx(platform, exec::ExecOptions{});
   exec::FilterOp plan(
       std::make_unique<exec::TableScanOp>(&table, std::vector<std::string>{},
                                           prune ? filter : nullptr),
       filter);
-  auto result = exec::CollectAll(&plan, &ctx);
-  if (!result.ok()) std::exit(1);
-  const exec::QueryStats stats = ctx.Finish();
-  return Outcome{stats.Joules(), stats.io_bytes, result->TotalRows()};
+  const bench::PlanRun run = bench::RunPlan(platform, &plan);
+  return Outcome{run.stats.Joules(), run.stats.io_bytes,
+                 run.result.TotalRows()};
 }
 
 }  // namespace
@@ -119,12 +117,15 @@ int Main() {
               bench::Fmt("%.3f", cpruned.joules), "~0%"});
   out.Print();
 
-  const bool shape = monotone && prev_saving < 0.05 &&
-                     cpruned.bytes >= cfull.bytes * 95 / 100;
-  std::printf("shape check (savings track clustering+selectivity; "
-              "unclustered control saves nothing): %s\n",
-              shape ? "PASS" : "FAIL");
-  return shape ? 0 : 1;
+  bench::ShapeCheck check(
+      "savings track clustering+selectivity; unclustered control saves "
+      "nothing");
+  check.Expect(monotone, "savings rose with selectivity");
+  check.Expect(prev_saving < 0.05, "full-range predicate saved %.2f",
+               prev_saving);
+  check.Expect(cpruned.bytes >= cfull.bytes * 95 / 100,
+               "unclustered control pruned bytes");
+  return check.Report();
 }
 
 }  // namespace ecodb

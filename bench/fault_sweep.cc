@@ -179,16 +179,18 @@ SweepResult RunSweep() {
 }
 
 void PrintPhaseJson(const PhaseOutcome& p) {
-  std::printf(
-      "{\"bench\":\"fault_sweep\",\"phase\":\"%s\",\"io_bytes\":%" PRIu64
-      ",\"sim_seconds\":%.6f,\"joules\":%.3f,\"mb_per_joule\":%.3f,"
-      "\"transient_errors\":%u,\"retry_seconds\":%.6f,"
-      "\"retry_joules\":%.6f,\"degraded_reads\":%u,"
-      "\"reconstruct_instructions\":%.1f,\"reconstruct_joules\":%.6f}\n",
-      p.phase.c_str(), kScanBytes, p.Seconds(), p.joules, p.MBPerJoule(),
-      p.faults.transient_errors, p.faults.retry_seconds,
-      p.faults.retry_joules, p.faults.degraded_reads,
-      p.faults.reconstruct_instructions, p.faults.reconstruct_joules);
+  bench::JsonLine()
+      .Str("bench", "fault_sweep").Str("phase", p.phase)
+      .Num("io_bytes", "%" PRIu64, kScanBytes)
+      .Num("sim_seconds", "%.6f", p.Seconds()).Num("joules", "%.3f", p.joules)
+      .Num("mb_per_joule", "%.3f", p.MBPerJoule())
+      .Num("transient_errors", "%u", p.faults.transient_errors)
+      .Num("retry_seconds", "%.6f", p.faults.retry_seconds)
+      .Num("retry_joules", "%.6f", p.faults.retry_joules)
+      .Num("degraded_reads", "%u", p.faults.degraded_reads)
+      .Num("reconstruct_instructions", "%.1f",
+           p.faults.reconstruct_instructions)
+      .Num("reconstruct_joules", "%.6f", p.faults.reconstruct_joules).Print();
 }
 
 }  // namespace
@@ -224,20 +226,21 @@ int Main() {
 
   // JSON lines: header pins the schema and rig, one line per phase, one for
   // the rebuild window itself.
-  std::printf("{\"schema\":\"ecodb.faults.v1\",\"disks\":%d,"
-              "\"raid\":\"raid5\",\"scan_bytes\":%" PRIu64
-              ",\"seed\":%" PRIu64 ",\"platform\":\"dl785\"}\n",
-              kDisks, kScanBytes, kFaultSeed);
+  bench::JsonLine()
+      .Str("schema", "ecodb.faults.v1").Num("disks", "%d", kDisks)
+      .Str("raid", "raid5").Num("scan_bytes", "%" PRIu64, kScanBytes)
+      .Num("seed", "%" PRIu64, kFaultSeed).Str("platform", "dl785").Print();
   PrintPhaseJson(res.healthy);
   PrintPhaseJson(res.degraded);
-  std::printf("{\"bench\":\"fault_sweep\",\"phase\":\"rebuilding\","
-              "\"rebuild_bytes\":%" PRIu64 ",\"chunks\":%" PRIu64
-              ",\"sim_seconds\":%.6f,\"xor_instructions\":%.1f,"
-              "\"xor_joules\":%.6f,\"rate_bytes_per_s\":%.0f}\n",
-              res.rebuild.bytes_rebuilt, res.rebuild.chunks,
-              res.rebuild.end_time - res.rebuild.start_time,
-              res.rebuild.xor_instructions, res.rebuild.xor_joules,
-              kRebuildRate);
+  bench::JsonLine()
+      .Str("bench", "fault_sweep").Str("phase", "rebuilding")
+      .Num("rebuild_bytes", "%" PRIu64, res.rebuild.bytes_rebuilt)
+      .Num("chunks", "%" PRIu64, res.rebuild.chunks)
+      .Num("sim_seconds", "%.6f",
+           res.rebuild.end_time - res.rebuild.start_time)
+      .Num("xor_instructions", "%.1f", res.rebuild.xor_instructions)
+      .Num("xor_joules", "%.6f", res.rebuild.xor_joules)
+      .Num("rate_bytes_per_s", "%.0f", kRebuildRate).Print();
   PrintPhaseJson(res.rebuilt);
 
   // --- Shape checks ------------------------------------------------------
@@ -247,20 +250,27 @@ int Main() {
   const double share = static_cast<double>(kScanBytes) / kDisks;
   const double expect_instr =
       spec.xor_instructions_per_byte * (kDisks - 1) * share;
-  const bool xor_matches =
+  bench::ShapeCheck check(
+      "degraded > healthy; XOR matches (n-1) x share model; retries "
+      "charged; rebuild restores health; seed replays bit-exactly");
+  check.Expect(res.degraded.joules > res.healthy.joules &&
+                   res.degraded.faults.degraded_reads > 0,
+               "degraded not costlier");
+  check.Expect(
       std::abs(res.degraded.faults.reconstruct_instructions - expect_instr) <
-      1e-6 * expect_instr;
-  const bool degraded_costs_more =
-      res.degraded.joules > res.healthy.joules &&
-      res.degraded.faults.degraded_reads > 0;
-  const bool retries_charged = res.healthy.faults.transient_errors > 0 &&
-                               res.healthy.faults.retry_joules > 0.0;
-  const bool rebuild_restores = res.rebuilt.faults.degraded_reads == 0 &&
-                                res.rebuild.bytes_rebuilt == kRebuildBytes;
+          1e-6 * expect_instr,
+      "xor instructions %.1f vs model %.1f",
+      res.degraded.faults.reconstruct_instructions, expect_instr);
+  check.Expect(res.healthy.faults.transient_errors > 0 &&
+                   res.healthy.faults.retry_joules > 0.0,
+               "retries free or absent");
+  check.Expect(res.rebuilt.faults.degraded_reads == 0 &&
+                   res.rebuild.bytes_rebuilt == kRebuildBytes,
+               "rebuild did not restore");
 
   // Determinism: the same seed + plan replays the whole sweep bit-exactly.
   const SweepResult replay = RunSweep();
-  const bool replays =
+  check.Expect(
       replay.healthy.joules == res.healthy.joules &&
       replay.degraded.joules == res.degraded.joules &&
       replay.rebuilt.joules == res.rebuilt.joules &&
@@ -268,28 +278,11 @@ int Main() {
           res.degraded.faults.reconstruct_joules &&
       replay.healthy.faults.transient_errors ==
           res.healthy.faults.transient_errors &&
-      replay.rebuild.xor_joules == res.rebuild.xor_joules;
+      replay.rebuild.xor_joules == res.rebuild.xor_joules,
+      "replay diverged");
 
-  std::printf("\nshape check (degraded > healthy; XOR matches "
-              "(n-1) x share model; retries charged; rebuild restores "
-              "health; seed replays bit-exactly): %s\n",
-              degraded_costs_more && xor_matches && retries_charged &&
-                      rebuild_restores && replays
-                  ? "PASS"
-                  : "FAIL");
-  if (!degraded_costs_more) std::printf("  FAIL: degraded not costlier\n");
-  if (!xor_matches) {
-    std::printf("  FAIL: xor instructions %.1f vs model %.1f\n",
-                res.degraded.faults.reconstruct_instructions, expect_instr);
-  }
-  if (!retries_charged) std::printf("  FAIL: retries free or absent\n");
-  if (!rebuild_restores) std::printf("  FAIL: rebuild did not restore\n");
-  if (!replays) std::printf("  FAIL: replay diverged\n");
-
-  return degraded_costs_more && xor_matches && retries_charged &&
-                 rebuild_restores && replays
-             ? 0
-             : 1;
+  std::printf("\n");
+  return check.Report();
 }
 
 }  // namespace ecodb

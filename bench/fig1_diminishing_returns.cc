@@ -207,11 +207,12 @@ int Main() {
   std::printf("performance drop at EE peak: -%.1f%% (paper: -45%%)\n\n",
               perf_drop);
 
-  const bool shape_holds =
-      ee_peak == 66 && ee_gain > 5.0 && perf_drop > 25.0 && perf_drop < 60.0;
-  std::printf("shape check (interior EE peak at 66, EE gain, perf drop): "
-              "%s\n", shape_holds ? "PASS" : "FAIL");
-  return shape_holds ? 0 : 1;
+  bench::ShapeCheck check("interior EE peak at 66, EE gain, perf drop");
+  check.Expect(ee_peak == 66, "EE peaks at %d", ee_peak);
+  check.Expect(ee_gain > 5.0, "EE gain %.1f%%", ee_gain);
+  check.Expect(perf_drop > 25.0 && perf_drop < 60.0, "perf drop %.1f%%",
+               perf_drop);
+  return check.Report();
 }
 
 }  // namespace ecodb

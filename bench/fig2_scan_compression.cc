@@ -66,15 +66,8 @@ RunResult RunScan(const storage::TableStorage& table,
                      platform->cpu().spec().instructions_per_cycle;
   options.costs.decode_scale = target_cpu_s * ips / instr;
 
-  exec::ExecContext ctx(platform, options);
   exec::TableScanOp scan(&table, kProjection);
-  auto result = exec::CollectAll(&scan, &ctx);
-  if (!result.ok()) {
-    std::fprintf(stderr, "scan failed: %s\n",
-                 result.status().ToString().c_str());
-    std::exit(1);
-  }
-  const exec::QueryStats stats = ctx.Finish();
+  const exec::QueryStats stats = bench::RunPlan(platform, &scan, options).stats;
   return RunResult{stats.elapsed_seconds, stats.cpu_seconds, stats.io_seconds,
                    stats.Joules()};
 }
@@ -178,10 +171,10 @@ int Main() {
   std::printf("compressed is %.2fx faster but uses %.0f%% more energy "
               "(paper: 1.8x faster, 44%% more energy)\n",
               speedup, (energy_ratio - 1.0) * 100.0);
-  const bool shape_holds = c.total_s < u.total_s && c.joules > u.joules;
-  std::printf("shape check (faster AND more energy): %s\n",
-              shape_holds ? "PASS" : "FAIL");
-  return shape_holds ? 0 : 1;
+  bench::ShapeCheck check("faster AND more energy");
+  check.Expect(c.total_s < u.total_s, "compressed is not faster");
+  check.Expect(c.joules > u.joules, "compressed uses no more energy");
+  return check.Report();
 }
 
 }  // namespace ecodb

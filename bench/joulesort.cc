@@ -84,13 +84,11 @@ SortOutcome RunSort(power::HardwarePlatform* platform,
 
   exec::ExecOptions options;
   options.dop = dop;
-  exec::ExecContext ctx(platform, options);
   const std::vector<exec::SortKey> keys = {{"key", true}};
   exec::SortOp sort(std::make_unique<exec::TableScanOp>(&table), keys,
                     memory_budget, spill_device);
-  auto result = exec::CollectAll(&sort, &ctx);
-  if (!result.ok()) std::exit(1);
-  const exec::QueryStats stats = ctx.Finish();
+  const bench::PlanRun run = bench::RunPlan(platform, &sort, options);
+  const exec::QueryStats& stats = run.stats;
 
   SortOutcome out;
   out.seconds = stats.elapsed_seconds;
@@ -102,7 +100,7 @@ SortOutcome RunSort(power::HardwarePlatform* platform,
   out.spilled = sort.spilled();
   int64_t prev = INT64_MIN;
   size_t rows = 0;
-  for (const auto& batch : result->batches) {
+  for (const auto& batch : run.result.batches) {
     for (size_t r = 0; r < batch.num_rows(); ++r) {
       const int64_t k = batch.column(0).i64[r];
       if (k < prev) out.sorted = false;
@@ -141,7 +139,6 @@ TopKOutcome RunTopK(power::HardwarePlatform* platform, uint64_t memory_budget,
 
   exec::ExecOptions options;
   options.dop = dop;
-  exec::ExecContext ctx(platform, options);
   const std::vector<exec::SortKey> keys = {{"key", true}};
   exec::OperatorPtr root;
   if (fused) {
@@ -155,9 +152,8 @@ TopKOutcome RunTopK(power::HardwarePlatform* platform, uint64_t memory_budget,
             &ssd),
         k);
   }
-  auto result = exec::CollectAll(root.get(), &ctx);
-  if (!result.ok()) std::exit(1);
-  const exec::QueryStats stats = ctx.Finish();
+  const bench::PlanRun run = bench::RunPlan(platform, root.get(), options);
+  const exec::QueryStats& stats = run.stats;
 
   TopKOutcome out;
   out.seconds = stats.elapsed_seconds;
@@ -169,7 +165,7 @@ TopKOutcome RunTopK(power::HardwarePlatform* platform, uint64_t memory_budget,
   out.spill_bytes =
       stats.io_bytes > scan_bytes ? stats.io_bytes - scan_bytes : 0;
   int64_t prev = INT64_MIN;
-  for (const auto& batch : result->batches) {
+  for (const auto& batch : run.result.batches) {
     for (size_t r = 0; r < batch.num_rows(); ++r) {
       const int64_t key = batch.column(0).i64[r];
       if (key < prev) out.sorted = false;
@@ -233,13 +229,18 @@ int Main() {
 
   // Shape: spilling costs energy; spilling to disk costs more than SSD;
   // the balanced low-power node wins records/Joule (JouleSort's finding).
-  bool shape = outcomes[1].joules > outcomes[0].joules &&
-               outcomes[2].joules > outcomes[1].joules &&
-               outcomes[3].RecordsPerJoule() >
-                   outcomes[0].RecordsPerJoule();
-  std::printf("shape check (spill costs energy; disk > SSD; balanced "
-              "low-power node wins records/J): %s\n\n",
-              shape ? "PASS" : "FAIL");
+  bench::ShapeCheck shape(
+      "spill costs energy; disk > SSD; balanced low-power node wins "
+      "records/J");
+  shape.Expect(outcomes[1].joules > outcomes[0].joules,
+               "spilling to SSD saved energy");
+  shape.Expect(outcomes[2].joules > outcomes[1].joules,
+               "spilling to disk cost no more than SSD");
+  shape.Expect(
+      outcomes[3].RecordsPerJoule() > outcomes[0].RecordsPerJoule(),
+      "low-power node sorts fewer records/J than the server");
+  const int shape_code = shape.Report();
+  std::printf("\n");
 
   // --- Dop sweep: the external sort across dop, JSON lines ----------------
   // Header line pins the schema version and the workload; one line per
@@ -252,11 +253,14 @@ int Main() {
     auto p = power::MakeDl785Platform();
     return optimizer::PlatformDopLadder(*p);
   }();
-  std::printf("{\"schema\":\"ecodb.joulesort.v1\",\"records\":%d,"
-              "\"key_bytes\":10,\"payload_bytes\":90,\"platform\":\"dl785\"}"
-              "\n",
-              kRecords);
-  bool sweep_ok = true;
+  bench::JsonLine()
+      .Str("schema", "ecodb.joulesort.v1").Num("records", "%d", kRecords)
+      .Num("key_bytes", "%d", 10).Num("payload_bytes", "%d", 90)
+      .Str("platform", "dl785").Print();
+  bench::ShapeCheck sweep(
+      "busy core-seconds and io bytes constant; cpu critical path shrinks "
+      "with dop",
+      "dop sweep check");
   for (const bool spill : {false, true}) {
     SortOutcome base;
     for (const int dop : dops) {
@@ -265,33 +269,33 @@ int Main() {
       const SortOutcome out =
           RunSort(platform.get(), &ssd, &ssd, spill ? tight : full, records,
                   dop);
-      std::printf(
-          "{\"bench\":\"joulesort\",\"dop\":%d,\"spill\":\"%s\","
-          "\"sim_seconds\":%.6f,\"joules\":%.3f,\"records_per_joule\":%.1f,"
-          "\"cpu_core_seconds\":%.6f,\"cpu_elapsed_seconds\":%.6f,"
-          "\"active_cores\":%d,\"io_bytes\":%" PRIu64 "}\n",
-          dop, spill ? "ssd" : "none", out.seconds, out.joules,
-          out.RecordsPerJoule(), out.cpu_core_seconds,
-          out.cpu_elapsed_seconds, out.active_cores, out.io_bytes);
-      if (!out.sorted || out.spilled != spill) sweep_ok = false;
+      bench::JsonLine()
+          .Str("bench", "joulesort").Num("dop", "%d", dop)
+          .Str("spill", spill ? "ssd" : "none")
+          .Num("sim_seconds", "%.6f", out.seconds)
+          .Num("joules", "%.3f", out.joules)
+          .Num("records_per_joule", "%.1f", out.RecordsPerJoule())
+          .Num("cpu_core_seconds", "%.6f", out.cpu_core_seconds)
+          .Num("cpu_elapsed_seconds", "%.6f", out.cpu_elapsed_seconds)
+          .Num("active_cores", "%d", out.active_cores)
+          .Num("io_bytes", "%" PRIu64, out.io_bytes).Print();
+      sweep.Expect(out.sorted, "dop %d: output not sorted", dop);
+      sweep.Expect(out.spilled == spill, "dop %d: spill state wrong", dop);
       if (dop == 1) {
         base = out;
       } else {
         // Modeled work is dop-invariant; the critical path is not.
-        if (std::abs(out.cpu_core_seconds - base.cpu_core_seconds) >
-            1e-9 * base.cpu_core_seconds) {
-          sweep_ok = false;
-        }
-        if (out.io_bytes != base.io_bytes) sweep_ok = false;
-        if (out.cpu_elapsed_seconds >= base.cpu_elapsed_seconds) {
-          sweep_ok = false;
-        }
+        sweep.Expect(std::abs(out.cpu_core_seconds - base.cpu_core_seconds) <=
+                         1e-9 * base.cpu_core_seconds,
+                     "dop %d: busy core-seconds moved", dop);
+        sweep.Expect(out.io_bytes == base.io_bytes,
+                     "dop %d: io bytes moved", dop);
+        sweep.Expect(out.cpu_elapsed_seconds < base.cpu_elapsed_seconds,
+                     "dop %d: cpu critical path did not shrink", dop);
       }
     }
   }
-  std::printf("dop sweep check (busy core-seconds and io bytes constant; "
-              "cpu critical path shrinks with dop): %s\n",
-              sweep_ok ? "PASS" : "FAIL");
+  const int sweep_code = sweep.Report();
 
   // --- Top-k sweep: ORDER BY + LIMIT, fused vs sort-then-limit ------------
   // For each k the same query runs fused (bounded-heap top-k) and unfused
@@ -299,11 +303,15 @@ int Main() {
   // a budget the full sort must spill. Small k is where the energy drops:
   // the fused path does O(n log k) comparisons and writes zero spill bytes
   // when its k-row candidate set fits the budget.
-  std::printf("\n{\"schema\":\"ecodb.topk.v1\",\"records\":%d,"
-              "\"platform\":\"dl785\",\"budget_bytes\":%" PRIu64
-              ",\"ks\":[1,10,100,%d]}\n",
-              kRecords, tight, kRecords);
-  bool topk_ok = true;
+  std::printf("\n");
+  bench::JsonLine()
+      .Str("schema", "ecodb.topk.v1").Num("records", "%d", kRecords)
+      .Str("platform", "dl785").Num("budget_bytes", "%" PRIu64, tight)
+      .Num("ks", "[1,10,100,%d]", kRecords).Print();
+  bench::ShapeCheck topk(
+      "fused rows identical; charges dop-invariant; fewer instructions, zero "
+      "spill bytes, fewer Joules for k <= 100",
+      "top-k sweep check");
   for (const size_t k : {size_t{1}, size_t{10}, size_t{100},
                          size_t{kRecords}}) {
     TopKOutcome fused_base, unfused_base;
@@ -313,48 +321,51 @@ int Main() {
         auto platform = power::MakeDl785Platform();
         const TopKOutcome out =
             RunTopK(platform.get(), tight, records, dop, k, fused);
-        std::printf(
-            "{\"bench\":\"topk\",\"k\":%zu,\"path\":\"%s\",\"dop\":%d,"
-            "\"sim_seconds\":%.6f,\"joules\":%.3f,\"instructions\":%.1f,"
-            "\"cpu_core_seconds\":%.6f,\"cpu_elapsed_seconds\":%.6f,"
-            "\"io_bytes\":%" PRIu64 ",\"spill_bytes\":%" PRIu64 "}\n",
-            k, fused ? "topk" : "sort+limit", dop, out.seconds, out.joules,
-            out.instructions, out.cpu_core_seconds, out.cpu_elapsed_seconds,
-            out.io_bytes, out.spill_bytes);
-        if (!out.sorted) topk_ok = false;
+        const char* path = fused ? "topk" : "sort+limit";
+        bench::JsonLine()
+            .Str("bench", "topk").Num("k", "%zu", k).Str("path", path)
+            .Num("dop", "%d", dop).Num("sim_seconds", "%.6f", out.seconds)
+            .Num("joules", "%.3f", out.joules)
+            .Num("instructions", "%.1f", out.instructions)
+            .Num("cpu_core_seconds", "%.6f", out.cpu_core_seconds)
+            .Num("cpu_elapsed_seconds", "%.6f", out.cpu_elapsed_seconds)
+            .Num("io_bytes", "%" PRIu64, out.io_bytes)
+            .Num("spill_bytes", "%" PRIu64, out.spill_bytes).Print();
+        topk.Expect(out.sorted, "k %zu %s dop %d: output not sorted", k,
+                    path, dop);
         if (dop == dops.front()) {
           base = out;
         } else {
           // Determinism contract: rows and modeled charges are
           // dop-invariant; only the critical path may shrink.
-          if (out.rows != base.rows) topk_ok = false;
-          if (out.instructions != base.instructions) topk_ok = false;
-          if (out.io_bytes != base.io_bytes) topk_ok = false;
-          if (std::abs(out.cpu_core_seconds - base.cpu_core_seconds) >
-              1e-9 * base.cpu_core_seconds) {
-            topk_ok = false;
-          }
+          topk.Expect(out.rows == base.rows &&
+                          out.instructions == base.instructions &&
+                          out.io_bytes == base.io_bytes &&
+                          std::abs(out.cpu_core_seconds -
+                                   base.cpu_core_seconds) <=
+                              1e-9 * base.cpu_core_seconds,
+                      "k %zu %s dop %d: rows or charges moved", k, path,
+                      dop);
         }
       }
       (fused ? fused_base : unfused_base) = base;
     }
     // Plan equivalence: the fused path is just a cheaper physical plan.
-    if (fused_base.rows != unfused_base.rows) topk_ok = false;
+    topk.Expect(fused_base.rows == unfused_base.rows,
+                "k %zu: fused rows differ", k);
     if (k <= 100) {
-      if (!(fused_base.instructions < unfused_base.instructions)) {
-        topk_ok = false;
-      }
-      if (fused_base.spill_bytes != 0 || unfused_base.spill_bytes == 0) {
-        topk_ok = false;
-      }
-      if (!(fused_base.joules < unfused_base.joules)) topk_ok = false;
+      topk.Expect(fused_base.instructions < unfused_base.instructions,
+                  "k %zu: fused runs no fewer instructions", k);
+      topk.Expect(
+          fused_base.spill_bytes == 0 && unfused_base.spill_bytes != 0,
+          "k %zu: fused %" PRIu64 " vs unfused %" PRIu64 " spill bytes", k,
+          fused_base.spill_bytes, unfused_base.spill_bytes);
+      topk.Expect(fused_base.joules < unfused_base.joules,
+                  "k %zu: fused spends no fewer Joules", k);
     }
   }
-  std::printf("top-k sweep check (fused rows identical; charges "
-              "dop-invariant; fewer instructions, zero spill bytes, fewer "
-              "Joules for k <= 100): %s\n",
-              topk_ok ? "PASS" : "FAIL");
-  return (shape && sweep_ok && topk_ok) ? 0 : 1;
+  const int topk_code = topk.Report();
+  return shape_code | sweep_code | topk_code;
 }
 
 }  // namespace ecodb

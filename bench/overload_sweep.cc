@@ -169,19 +169,21 @@ double DirectBilledJoules(const sched::ServingReport& r) {
 
 void PrintPointJson(double load, const char* policy,
                     const sched::ServingReport& r, double slo_s) {
-  std::printf(
-      "{\"bench\":\"overload_sweep\",\"load_factor\":%.2f,"
-      "\"policy\":\"%s\",\"sessions\":%zu,\"completed\":%" PRIu64 ","
-      "\"deadline\":%" PRIu64 ",\"shed\":%" PRIu64 ",\"evicted\":%" PRIu64
-      ",\"window_s\":%.6f,\"total_joules\":%.6f,\"billed_joules\":%.6f,"
-      "\"hi_p99_queue_s\":%.6f,\"queue_slo_s\":%.6f,"
-      "\"governor_transitions\":%zu,"
-      "\"admission_fingerprint\":\"%016" PRIx64 "\"}\n",
-      load, policy, r.sessions.size(), r.sessions_completed,
-      r.sessions_deadline, r.sessions_shed, r.sessions_evicted,
-      r.window_end_s - r.window_start_s, r.total_joules, r.billed_joules,
-      HighPriorityP99QueueSeconds(r), slo_s, r.governor_events.size(),
-      r.admission_fingerprint);
+  bench::JsonLine()
+      .Str("bench", "overload_sweep").Num("load_factor", "%.2f", load)
+      .Str("policy", policy).Num("sessions", "%zu", r.sessions.size())
+      .Num("completed", "%" PRIu64, r.sessions_completed)
+      .Num("deadline", "%" PRIu64, r.sessions_deadline)
+      .Num("shed", "%" PRIu64, r.sessions_shed)
+      .Num("evicted", "%" PRIu64, r.sessions_evicted)
+      .Num("window_s", "%.6f", r.window_end_s - r.window_start_s)
+      .Num("total_joules", "%.6f", r.total_joules)
+      .Num("billed_joules", "%.6f", r.billed_joules)
+      .Num("hi_p99_queue_s", "%.6f", HighPriorityP99QueueSeconds(r))
+      .Num("queue_slo_s", "%.6f", slo_s)
+      .Num("governor_transitions", "%zu", r.governor_events.size())
+      .Str("admission_fingerprint", "%016" PRIx64, r.admission_fingerprint)
+      .Print();
 }
 
 int Main(bool smoke) {
@@ -264,19 +266,21 @@ int Main(bool smoke) {
 
   // JSON lines: header pins the schema and rig, one line per (load, cap)
   // point.
-  std::printf(
-      "{\"schema\":\"ecodb.overload.v1\",\"bench\":\"overload_sweep\","
-      "\"seed\":%" PRIu64 ",\"tenants\":%d,\"priorities\":%d,"
-      "\"requests\":%zu,\"scale_factor\":%.2f,\"platform\":\"proportional\","
-      "\"disks\":%d,\"raid\":\"raid5\",\"worker_fleet\":%d,"
-      "\"mean_service_s\":%.6f,\"deadline_s\":%.6f,\"queue_slo_s\":%.6f,"
-      "\"max_queue_depth\":%zu,\"tenant_inflight\":%d,"
-      "\"cap_watts\":%.3f,\"cap_window_s\":%.4f}\n",
-      kTraceSeed, kTenants, kPriorities, params.requests, kScaleFactor,
-      kDisks, kWorkerFleet, mean_service_s, protections.relative_deadline_s,
-      protections.queue_slo_s, protections.max_queue_depth,
-      protections.per_tenant_inflight, capped_cfg.power_cap.cap_watts,
-      capped_cfg.power_cap.window_s);
+  bench::JsonLine()
+      .Str("schema", "ecodb.overload.v1").Str("bench", "overload_sweep")
+      .Num("seed", "%" PRIu64, kTraceSeed).Num("tenants", "%d", kTenants)
+      .Num("priorities", "%d", kPriorities)
+      .Num("requests", "%zu", params.requests)
+      .Num("scale_factor", "%.2f", kScaleFactor).Str("platform", "proportional")
+      .Num("disks", "%d", kDisks).Str("raid", "raid5")
+      .Num("worker_fleet", "%d", kWorkerFleet)
+      .Num("mean_service_s", "%.6f", mean_service_s)
+      .Num("deadline_s", "%.6f", protections.relative_deadline_s)
+      .Num("queue_slo_s", "%.6f", protections.queue_slo_s)
+      .Num("max_queue_depth", "%zu", protections.max_queue_depth)
+      .Num("tenant_inflight", "%d", protections.per_tenant_inflight)
+      .Num("cap_watts", "%.3f", capped_cfg.power_cap.cap_watts)
+      .Num("cap_window_s", "%.4f", capped_cfg.power_cap.window_s).Print();
   for (const Point& p : points) {
     PrintPointJson(p.load_factor, "uncapped", p.uncapped,
                    protections.queue_slo_s);
@@ -285,11 +289,17 @@ int Main(bool smoke) {
   }
 
   // --- Shape checks ------------------------------------------------------
+  bench::ShapeCheck check(
+      "bills conserve at every point incl. sheds; goodput degrades "
+      "monotonically with load; high-priority p99 queue within SLO; "
+      "overload sheds; cap ladder engages; densest capped point replays "
+      "bit-exactly");
   bool conserved_all = true;
   for (const Point& p : points) {
     conserved_all =
         conserved_all && Conserved(p.uncapped) && Conserved(p.capped);
   }
+  check.Expect(conserved_all, "bills do not sum to the meter");
 
   bool goodput_monotone = true;
   for (size_t i = 1; i < points.size(); ++i) {
@@ -300,6 +310,7 @@ int Main(bool smoke) {
         points[i].capped.sessions_completed <=
             points[i - 1].capped.sessions_completed;
   }
+  check.Expect(goodput_monotone, "completed count rose with offered load");
 
   bool hi_priority_bounded = true;
   for (const Point& p : points) {
@@ -310,9 +321,11 @@ int Main(bool smoke) {
         HighPriorityP99QueueSeconds(p.capped) <=
             protections.queue_slo_s + 1e-9;
   }
+  check.Expect(hi_priority_bounded,
+               "high-priority p99 queue exceeded the SLO");
   const Point& densest = points.back();
-  const bool sheds_absorb = Refused(densest.uncapped) > 0 &&
-                            Refused(densest.capped) > 0;
+  check.Expect(Refused(densest.uncapped) > 0 && Refused(densest.capped) > 0,
+               "no session was refused at %.1fx load", densest.load_factor);
   // The ladder must engage somewhere in the capped sweep: heavy shedding
   // can hold the densest point's draw under the cap, but some capped point
   // has to have climbed.
@@ -320,40 +333,19 @@ int Main(bool smoke) {
   for (const Point& p : points) {
     cap_engages = cap_engages || !p.capped.governor_events.empty();
   }
+  check.Expect(cap_engages, "governor never stepped at any capped point");
 
   const sim::ArrivalTrace replay_trace = TraceFor(
       params.requests, capacity_interarrival_s / densest.load_factor);
   const sched::ServingReport replay = RunPoint(replay_trace, capped_cfg);
-  const bool replays =
+  check.Expect(
       replay.admission_fingerprint == densest.capped.admission_fingerprint &&
-      replay.billed_joules == densest.capped.billed_joules &&
-      replay.total_joules == densest.capped.total_joules;
+          replay.billed_joules == densest.capped.billed_joules &&
+          replay.total_joules == densest.capped.total_joules,
+      "replay diverged");
 
-  const bool pass = conserved_all && goodput_monotone &&
-                    hi_priority_bounded && sheds_absorb && cap_engages &&
-                    replays;
-  std::printf(
-      "\nshape check (bills conserve at every point incl. sheds; goodput "
-      "degrades monotonically with load; high-priority p99 queue within "
-      "SLO; overload sheds; cap ladder engages; densest capped point "
-      "replays bit-exactly): %s\n",
-      pass ? "PASS" : "FAIL");
-  if (!conserved_all) std::printf("  FAIL: bills do not sum to the meter\n");
-  if (!goodput_monotone) {
-    std::printf("  FAIL: completed count rose with offered load\n");
-  }
-  if (!hi_priority_bounded) {
-    std::printf("  FAIL: high-priority p99 queue exceeded the SLO\n");
-  }
-  if (!sheds_absorb) {
-    std::printf("  FAIL: no session was refused at %.1fx load\n",
-                densest.load_factor);
-  }
-  if (!cap_engages) {
-    std::printf("  FAIL: governor never stepped at any capped point\n");
-  }
-  if (!replays) std::printf("  FAIL: replay diverged\n");
-  return pass ? 0 : 1;
+  std::printf("\n");
+  return check.Report();
 }
 
 }  // namespace

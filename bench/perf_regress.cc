@@ -32,6 +32,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -360,20 +361,22 @@ void WriteBaseline(const std::string& path, const SuiteResult& res) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     std::exit(1);
   }
-  out << "{\"schema\":\"" << kSchemaTag << "\","
-      << "\"calibration\":\"for_sequential_scalar_decode\","
-      << "\"codec_values\":" << kCodecValues << ","
-      << "\"table_rows\":" << kTableRows << ",\"seed\":" << kSeed << ","
-      << "\"items\":[\n";
+  const bench::JsonLine header =
+      bench::JsonLine()
+          .Str("schema", kSchemaTag)
+          .Str("calibration", "for_sequential_scalar_decode")
+          .Num("codec_values", "%zu", kCodecValues)
+          .Num("table_rows", "%zu", kTableRows)
+          .Num("seed", "%" PRIu64, kSeed);
+  out << "{" << header.fields() << ",\"items\":[\n";
   for (size_t i = 0; i < res.items.size(); ++i) {
     const Item& it = res.items[i];
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "{\"name\":\"%s\",\"wall_norm\":%.6f,\"joules\":%.6f,"
-                  "\"speedup_vs_scalar\":%.3f}%s\n",
-                  it.name.c_str(), it.wall_norm, it.joules, it.speedup,
-                  i + 1 < res.items.size() ? "," : "");
-    out << line;
+    out << bench::JsonLine()
+               .Str("name", it.name).Num("wall_norm", "%.6f", it.wall_norm)
+               .Num("joules", "%.6f", it.joules)
+               .Num("speedup_vs_scalar", "%.3f", it.speedup)
+               .str()
+        << (i + 1 < res.items.size() ? "," : "") << "\n";
   }
   out << "]}\n";
 }
@@ -480,13 +483,14 @@ int Compare(const std::vector<Item>& baseline, const SuiteResult& measured,
 }
 
 void PrintJson(const SuiteResult& res) {
-  std::printf("{\"schema\":\"%s\",\"calib_seconds\":%.9f}\n", kSchemaTag,
-              res.calib_seconds);
+  bench::JsonLine()
+      .Str("schema", kSchemaTag).Num("calib_seconds", "%.9f", res.calib_seconds)
+      .Print();
   for (const Item& it : res.items) {
-    std::printf("{\"bench\":\"perf_regress\",\"item\":\"%s\","
-                "\"wall_norm\":%.6f,\"joules\":%.6f,"
-                "\"speedup_vs_scalar\":%.3f}\n",
-                it.name.c_str(), it.wall_norm, it.joules, it.speedup);
+    bench::JsonLine()
+        .Str("bench", "perf_regress").Str("item", it.name)
+        .Num("wall_norm", "%.6f", it.wall_norm).Num("joules", "%.6f", it.joules)
+        .Num("speedup_vs_scalar", "%.3f", it.speedup).Print();
   }
 }
 

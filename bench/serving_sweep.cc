@@ -116,29 +116,33 @@ bool Conserved(const sched::ServingReport& r) {
 
 void PrintPointJson(double interarrival_s, const char* policy,
                     const sched::ServingReport& r) {
-  std::printf(
-      "{\"bench\":\"serving_sweep\",\"mean_interarrival_s\":%.4f,"
-      "\"policy\":\"%s\",\"sessions\":%zu,\"window_s\":%.6f,"
-      "\"total_joules\":%.6f,\"billed_joules\":%.6f,"
-      "\"joules_per_query\":%.6f,\"share_rate\":%.4f,\"batches\":%zu,"
-      "\"admission_fingerprint\":\"%016" PRIx64 "\"}\n",
-      interarrival_s, policy, r.sessions.size(),
-      r.window_end_s - r.window_start_s, r.total_joules, r.billed_joules,
-      r.JoulesPerQuery(), r.shared_scans.ShareRate(), r.batches_dispatched,
-      r.admission_fingerprint);
+  bench::JsonLine()
+      .Str("bench", "serving_sweep")
+      .Num("mean_interarrival_s", "%.4f", interarrival_s).Str("policy", policy)
+      .Num("sessions", "%zu", r.sessions.size())
+      .Num("window_s", "%.6f", r.window_end_s - r.window_start_s)
+      .Num("total_joules", "%.6f", r.total_joules)
+      .Num("billed_joules", "%.6f", r.billed_joules)
+      .Num("joules_per_query", "%.6f", r.JoulesPerQuery())
+      .Num("share_rate", "%.4f", r.shared_scans.ShareRate())
+      .Num("batches", "%zu", r.batches_dispatched)
+      .Str("admission_fingerprint", "%016" PRIx64, r.admission_fingerprint)
+      .Print();
 }
 
 void PrintTenantJson(double interarrival_s, const char* policy,
                      const sched::TenantBill& tb) {
-  std::printf(
-      "{\"bench\":\"serving_sweep\",\"mean_interarrival_s\":%.4f,"
-      "\"policy\":\"%s\",\"tenant\":%d,\"sessions\":%zu,"
-      "\"cpu_joules\":%.6f,\"dram_joules\":%.6f,\"io_joules\":%.6f,"
-      "\"fault_joules\":%.6f,\"background_joules\":%.6f,"
-      "\"total_joules\":%.6f,\"queue_seconds\":%.6f}\n",
-      interarrival_s, policy, tb.tenant_id, tb.sessions, tb.cpu_joules,
-      tb.dram_joules, tb.io_joules, tb.fault_joules, tb.background_joules,
-      tb.TotalJoules(), tb.queue_seconds);
+  bench::JsonLine()
+      .Str("bench", "serving_sweep")
+      .Num("mean_interarrival_s", "%.4f", interarrival_s).Str("policy", policy)
+      .Num("tenant", "%d", tb.tenant_id).Num("sessions", "%zu", tb.sessions)
+      .Num("cpu_joules", "%.6f", tb.cpu_joules)
+      .Num("dram_joules", "%.6f", tb.dram_joules)
+      .Num("io_joules", "%.6f", tb.io_joules)
+      .Num("fault_joules", "%.6f", tb.fault_joules)
+      .Num("background_joules", "%.6f", tb.background_joules)
+      .Num("total_joules", "%.6f", tb.TotalJoules())
+      .Num("queue_seconds", "%.6f", tb.queue_seconds).Print();
 }
 
 int Main(bool smoke) {
@@ -182,13 +186,14 @@ int Main(bool smoke) {
 
   // JSON lines: header pins the schema and rig, one line per (load, policy)
   // point, one per tenant at the densest consolidated point.
-  std::printf("{\"schema\":\"ecodb.serving.v1\",\"bench\":\"serving_sweep\","
-              "\"seed\":%" PRIu64 ",\"tenants\":%d,\"requests\":%zu,"
-              "\"scale_factor\":%.2f,\"platform\":\"proportional\","
-              "\"disks\":%d,\"raid\":\"raid5\","
-              "\"batch_window_s\":%.3f,\"share_window_s\":%.3f}\n",
-              kTraceSeed, kTenants, params.requests, kScaleFactor, kDisks,
-              kBatchWindowS, kShareWindowS);
+  bench::JsonLine()
+      .Str("schema", "ecodb.serving.v1").Str("bench", "serving_sweep")
+      .Num("seed", "%" PRIu64, kTraceSeed).Num("tenants", "%d", kTenants)
+      .Num("requests", "%zu", params.requests)
+      .Num("scale_factor", "%.2f", kScaleFactor).Str("platform", "proportional")
+      .Num("disks", "%d", kDisks).Str("raid", "raid5")
+      .Num("batch_window_s", "%.3f", kBatchWindowS)
+      .Num("share_window_s", "%.3f", kShareWindowS).Print();
   for (const Point& p : points) {
     PrintPointJson(p.interarrival_s, "isolated", p.isolated);
     PrintPointJson(p.interarrival_s, "consolidated", p.consolidated);
@@ -199,50 +204,39 @@ int Main(bool smoke) {
   }
 
   // --- Shape checks ------------------------------------------------------
+  bench::ShapeCheck check(
+      "bills conserve at every point; consolidation saves at dense load; "
+      "J/query falls with concurrency; trace replays bit-exactly");
   bool conserved_all = true;
   for (const Point& p : points) {
     conserved_all = conserved_all && Conserved(p.isolated) &&
                     Conserved(p.consolidated);
   }
-  const bool consolidation_saves =
+  check.Expect(conserved_all, "bills do not sum to the meter");
+  check.Expect(
       densest.consolidated.billed_joules < densest.isolated.billed_joules &&
-      densest.consolidated.shared_scans.ShareRate() > 0.0;
-  const bool amortizes = points.back().isolated.JoulesPerQuery() <
-                         points.front().isolated.JoulesPerQuery();
+          densest.consolidated.shared_scans.ShareRate() > 0.0,
+      "consolidated %.4f J vs isolated %.4f J (share rate %.3f)",
+      densest.consolidated.billed_joules, densest.isolated.billed_joules,
+      densest.consolidated.shared_scans.ShareRate());
+  check.Expect(points.back().isolated.JoulesPerQuery() <
+                   points.front().isolated.JoulesPerQuery(),
+               "J/query dense %.4f vs sparse %.4f",
+               points.back().isolated.JoulesPerQuery(),
+               points.front().isolated.JoulesPerQuery());
 
   const sim::ArrivalTrace replay_trace =
       TraceFor(params.requests, densest.interarrival_s);
   const sched::ServingReport replay =
       RunPoint(replay_trace, /*consolidated=*/true);
-  const bool replays =
-      replay.admission_fingerprint ==
-          densest.consolidated.admission_fingerprint &&
-      replay.billed_joules == densest.consolidated.billed_joules &&
-      replay.total_joules == densest.consolidated.total_joules;
+  check.Expect(replay.admission_fingerprint ==
+                       densest.consolidated.admission_fingerprint &&
+                   replay.billed_joules == densest.consolidated.billed_joules &&
+                   replay.total_joules == densest.consolidated.total_joules,
+               "replay diverged");
 
-  std::printf("\nshape check (bills conserve at every point; consolidation "
-              "saves at dense load; J/query falls with concurrency; trace "
-              "replays bit-exactly): %s\n",
-              conserved_all && consolidation_saves && amortizes && replays
-                  ? "PASS"
-                  : "FAIL");
-  if (!conserved_all) std::printf("  FAIL: bills do not sum to the meter\n");
-  if (!consolidation_saves) {
-    std::printf("  FAIL: consolidated %.4f J vs isolated %.4f J "
-                "(share rate %.3f)\n",
-                densest.consolidated.billed_joules,
-                densest.isolated.billed_joules,
-                densest.consolidated.shared_scans.ShareRate());
-  }
-  if (!amortizes) {
-    std::printf("  FAIL: J/query dense %.4f vs sparse %.4f\n",
-                points.back().isolated.JoulesPerQuery(),
-                points.front().isolated.JoulesPerQuery());
-  }
-  if (!replays) std::printf("  FAIL: replay diverged\n");
-
-  return conserved_all && consolidation_saves && amortizes && replays ? 0
-                                                                      : 1;
+  std::printf("\n");
+  return check.Report();
 }
 
 }  // namespace

@@ -21,7 +21,9 @@ run() {
   "$@"
 }
 
-# 1. Default build + full test suite (includes the lint-labelled tests).
+# 1. Default build + full test suite (includes the lint-labelled tests and
+#    the `paper` label: every shape-checked harness, the serving and
+#    overload sweeps in --smoke form, and the examples).
 run cmake --preset default
 run cmake --build --preset default -j "$jobs"
 run ctest --preset default -j "$jobs"
@@ -32,22 +34,7 @@ run ctest --preset default -j "$jobs"
 #    is deterministic at every tolerance).
 run ./scripts/bench_regress.sh --smoke
 
-# 3. Serving-core smoke: the multi-session sweep's shape checks enforce the
-#    DESIGN §12 contract (bills conserve, consolidation saves at dense load,
-#    seeded traces replay bit-exactly) end to end.
-run ./build/bench/serving_sweep --smoke
-
-# 3b. Join-order smoke: the lambda sweep's shape checks enforce the DESIGN
-#     §13 contract (some shape reorders as lambda grows, flips buy Joules
-#     with seconds, replans are deterministic).
-run ./build/bench/ablate_join_order --smoke
-
-# 3c. Overload smoke: the burst sweep's shape checks enforce the DESIGN §14
-#     contract (deadline kills and sheds keep their Joules on the bill, the
-#     power-cap ladder engages, books balance at every load point).
-run ./build/bench/overload_sweep --smoke
-
-# 4. Sanitizer matrix. tsan filters to the concurrency-sensitive suites;
+# 3. Sanitizer matrix. tsan filters to the concurrency-sensitive suites;
 #    asan and ubsan run everything. The fault-injection, serving, overload,
 #    join-differential, and paper-harness suites
 #    (`-L 'faults|serving|overload|joins|paper'`) then re-run explicitly
@@ -62,7 +49,7 @@ for san in tsan asan ubsan; do
       --output-on-failure -j "$jobs"
 done
 
-# 5. Energy-accounting linter over src/ (also covered by `ctest -L lint`,
+# 4. Energy-accounting linter over src/ (also covered by `ctest -L lint`,
 #    but run it standalone so failures print the findings directly).
 #    Full EC1–EC11 sweep: the JSON report is persisted for tooling, stale
 #    baseline entries (fingerprints no finding matches anymore) fail the
@@ -73,7 +60,7 @@ echo "==> ecodb-lint --format json src (persisted to build/lint-report.json)"
 run ./build/tools/lint/ecodb-lint --root . --baseline tools/lint/lint-baseline.txt \
     --fail-stale src
 
-# 6. clang-tidy, when available (the checks live in .clang-tidy).
+# 5. clang-tidy, when available (the checks live in .clang-tidy).
 if command -v clang-tidy >/dev/null 2>&1; then
   mapfile -t tidy_sources < <(find src -name '*.cc' | sort)
   run clang-tidy -p build "${tidy_sources[@]}"

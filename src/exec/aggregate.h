@@ -70,16 +70,20 @@ Status AppendGroupRow(const GroupAccum& gs,
 
 /// Aggregates one batch into `groups` — any map keyed by the encoded group
 /// key (the merged table is an ordered std::map, morsel partials use
-/// unordered_map). Pure accumulation; the caller owns the cost charges.
+/// unordered_map). Inputs go through the fused lane kernel with a per-call
+/// scratch, so morsel workers share nothing. Pure accumulation; the caller
+/// owns the cost charges.
 template <typename GroupMap>
 Status AccumulateBatch(const RecordBatch& batch,
                        const std::vector<int>& group_by,
                        const std::vector<AggregateItem>& aggregates,
                        GroupMap* groups) {
+  EvalScratch scratch;
   std::vector<ColumnData> inputs(aggregates.size());
   for (size_t a = 0; a < aggregates.size(); ++a) {
     if (aggregates[a].input != nullptr) {
-      ECODB_ASSIGN_OR_RETURN(inputs[a], aggregates[a].input->Evaluate(batch));
+      ECODB_RETURN_IF_ERROR(
+          aggregates[a].input->EvaluateInto(batch, &scratch, &inputs[a]));
     }
   }
   std::string key;

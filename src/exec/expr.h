@@ -82,8 +82,10 @@ class Expr {
   /// Output type after a successful Bind.
   catalog::DataType result_type() const { return result_type_; }
 
-  /// Evaluates over the batch into a column lane. Boolean results use the
-  /// int64 lane with values 0/1.
+  /// Reference tree-walk evaluation into a column lane, one temporary per
+  /// node. Boolean results use the int64 lane with values 0/1. No operator
+  /// runs it: it is the oracle the fused evaluators below are tested
+  /// against (DESIGN §11).
   StatusOr<ColumnData> Evaluate(const RecordBatch& batch) const;
 
   /// Evaluates as a selection mask (expression must be boolean-typed).
@@ -99,7 +101,8 @@ class Expr {
                           std::vector<uint8_t>* mask) const;
 
   /// Fused lane evaluation into `out` (replacing its contents), reusing
-  /// `scratch` across batches. Byte-identical to Evaluate.
+  /// `scratch` across batches. Byte-identical to Evaluate; the aggregate's
+  /// input lanes run through it.
   Status EvaluateInto(const RecordBatch& batch, EvalScratch* scratch,
                       ColumnData* out) const;
 

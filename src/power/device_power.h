@@ -76,13 +76,6 @@ struct DramSpec {
   }
 };
 
-/// Parameters of a network interface (used by remote-storage experiments).
-struct NicSpec {
-  double bw_bytes_per_s = 125.0 * 1e6;  // 1 GbE
-  double active_watts = 4.0;
-  double idle_watts = 1.0;
-};
-
 /// Validation helpers shared by the behavioural simulators.
 Status ValidateHddSpec(const HddSpec& spec);
 Status ValidateSsdSpec(const SsdSpec& spec);

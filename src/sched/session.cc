@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "exec/scan.h"
 #include "exec/worker_pool.h"
@@ -41,7 +42,7 @@ struct ReadyKey {
   }
 };
 
-Status ValidateConfig(const ServingConfig& config) {
+Status ValidateConfig(const ServingConfig& config, int num_pstates) {
   if (config.worker_fleet < 1) {
     return Status::InvalidArgument("worker_fleet must be >= 1");
   }
@@ -53,6 +54,12 @@ Status ValidateConfig(const ServingConfig& config) {
   }
   if (config.exec_options.dop < 1) {
     return Status::InvalidArgument("serving dop must be >= 1");
+  }
+  // ExecContext only asserts the range, and asserts vanish under NDEBUG.
+  if (config.exec_options.pstate < 0 ||
+      config.exec_options.pstate >= num_pstates) {
+    return Status::InvalidArgument("serving pstate must be in [0, " +
+                                   std::to_string(num_pstates) + ")");
   }
   const OverloadConfig& ol = config.overload;
   if (!(ol.relative_deadline_s > 0.0)) {
@@ -109,7 +116,8 @@ SessionManager::SessionManager(power::HardwarePlatform* platform,
 
 StatusOr<ServingReport> SessionManager::Serve(const sim::ArrivalTrace& trace,
                                               const QueryFactory& factory) {
-  ECODB_RETURN_IF_ERROR(ValidateConfig(config_));
+  ECODB_RETURN_IF_ERROR(
+      ValidateConfig(config_, platform_->cpu().num_pstates()));
 
   sim::SimClock* clock = platform_->clock();
   const double t0 = clock->now();

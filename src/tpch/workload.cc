@@ -15,13 +15,66 @@ using exec::Lit;
 using exec::LitDate;
 using exec::OperatorPtr;
 
+namespace {
+
+// The columns each scan of the mixture reads: the plan projects them and a
+// serving session declares them to the shared-scan manager.
+const std::vector<std::string> kPricingColumns = {
+    "l_returnflag", "l_quantity", "l_extendedprice", "l_discount",
+    "l_shipdate"};
+const std::vector<std::string> kRevenueColumns = {
+    "l_quantity", "l_extendedprice", "l_discount", "l_shipdate"};
+const std::vector<std::string> kOrderColumns = {"o_orderkey", "o_orderdate",
+                                                "o_shippriority"};
+const std::vector<std::string> kOrderLineColumns = {
+    "l_orderkey", "l_extendedprice", "l_discount"};
+
+// Query `shape` (0 = Q1, 1 = Q6, 2 = Q3 flavor) of throughput-test stream
+// `stream`, with the substitution parameters TPC-H-style streams rotate,
+// plus the tables and columns its scans read.
+sched::SessionManager::PlannedQuery MakeStreamQuery(
+    const storage::TableStorage* orders,
+    const storage::TableStorage* lineitem, int shape, int stream) {
+  const int64_t base = kDateEpochStart;
+  const int64_t year = 365;
+  sched::SessionManager::PlannedQuery pq;
+  auto declare_scan = [&pq](const storage::TableStorage* table,
+                            const std::vector<std::string>& names) {
+    std::vector<int> idx;
+    for (const std::string& name : names) {
+      idx.push_back(table->schema().FindColumn(name));
+    }
+    pq.scans.push_back({table, std::move(idx)});
+  };
+  switch (shape) {
+    case 0:
+      pq.root = MakePricingSummaryQuery(
+          lineitem, base + kDateRangeDays - 90 - 30 * stream);
+      declare_scan(lineitem, kPricingColumns);
+      break;
+    case 1: {
+      const int64_t lo = base + (stream % 5) * year;
+      pq.root = MakeRevenueQuery(lineitem, lo, lo + year, 0.02, 0.09,
+                                 25.0 + stream);
+      declare_scan(lineitem, kRevenueColumns);
+      break;
+    }
+    default:
+      pq.root = MakeOrderRevenueQuery(orders, lineitem,
+                                      base + kDateRangeDays / 2 + 60 * stream);
+      declare_scan(orders, kOrderColumns);
+      declare_scan(lineitem, kOrderLineColumns);
+      break;
+  }
+  return pq;
+}
+
+}  // namespace
+
 OperatorPtr MakePricingSummaryQuery(const storage::TableStorage* lineitem,
                                     int64_t ship_date_cutoff) {
   OperatorPtr filtered = std::make_unique<exec::TableScanOp>(
-      lineitem,
-      std::vector<std::string>{"l_returnflag", "l_quantity",
-                               "l_extendedprice", "l_discount",
-                               "l_shipdate"},
+      lineitem, kPricingColumns,
       /*prune_filter=*/nullptr, Col("l_shipdate") <= LitDate(ship_date_cutoff));
   std::vector<AggregateItem> aggs;
   aggs.push_back({"sum_qty", AggFunc::kSum, Col("l_quantity")});
@@ -46,10 +99,7 @@ OperatorPtr MakeRevenueQuery(const storage::TableStorage* lineitem,
                   Col("l_discount") <= Lit(discount_hi)),
               Col("l_quantity") < Lit(quantity_cap)));
   OperatorPtr filtered = std::make_unique<exec::TableScanOp>(
-      lineitem,
-      std::vector<std::string>{"l_quantity", "l_extendedprice", "l_discount",
-                               "l_shipdate"},
-      /*prune_filter=*/nullptr, std::move(pred));
+      lineitem, kRevenueColumns, /*prune_filter=*/nullptr, std::move(pred));
   std::vector<AggregateItem> aggs;
   aggs.push_back({"revenue", AggFunc::kSum,
                   Col("l_extendedprice") * Col("l_discount")});
@@ -61,15 +111,10 @@ OperatorPtr MakeOrderRevenueQuery(const storage::TableStorage* orders,
                                   const storage::TableStorage* lineitem,
                                   int64_t order_date_cutoff) {
   OperatorPtr ofiltered = std::make_unique<exec::TableScanOp>(
-      orders,
-      std::vector<std::string>{"o_orderkey", "o_orderdate",
-                               "o_shippriority"},
-      /*prune_filter=*/nullptr,
+      orders, kOrderColumns, /*prune_filter=*/nullptr,
       Col("o_orderdate") < LitDate(order_date_cutoff));
-  OperatorPtr lscan = std::make_unique<exec::TableScanOp>(
-      lineitem,
-      std::vector<std::string>{"l_orderkey", "l_extendedprice",
-                               "l_discount"});
+  OperatorPtr lscan =
+      std::make_unique<exec::TableScanOp>(lineitem, kOrderLineColumns);
   // Probe with lineitem (large side), build on filtered orders.
   OperatorPtr join = std::make_unique<exec::HashJoinOp>(
       std::move(lscan), std::move(ofiltered), "l_orderkey", "o_orderkey");
@@ -89,49 +134,7 @@ sched::SessionManager::QueryFactory MakeServingFactory(
              -> StatusOr<sched::SessionManager::PlannedQuery> {
     const int shape = static_cast<int>(((req.query_class % 3) + 3) % 3);
     const int stream = static_cast<int>(((req.param % 8) + 8) % 8);
-    const int64_t base = kDateEpochStart;
-    const int64_t year = 365;
-
-    auto columns = [](const storage::TableStorage* table,
-                      std::initializer_list<const char*> names) {
-      std::vector<int> idx;
-      for (const char* name : names) {
-        idx.push_back(table->schema().FindColumn(name));
-      }
-      return idx;
-    };
-
-    sched::SessionManager::PlannedQuery pq;
-    switch (shape) {
-      case 0:
-        pq.root = MakePricingSummaryQuery(
-            lineitem, kDateEpochStart + kDateRangeDays - 90 - 30 * stream);
-        pq.scans.push_back(
-            {lineitem,
-             columns(lineitem, {"l_returnflag", "l_quantity", "l_extendedprice",
-                                "l_discount", "l_shipdate"})});
-        break;
-      case 1: {
-        const int64_t lo = base + (stream % 5) * year;
-        pq.root = MakeRevenueQuery(lineitem, lo, lo + year, 0.02, 0.09,
-                                   25.0 + stream);
-        pq.scans.push_back(
-            {lineitem, columns(lineitem, {"l_quantity", "l_extendedprice",
-                                          "l_discount", "l_shipdate"})});
-        break;
-      }
-      default:
-        pq.root = MakeOrderRevenueQuery(
-            orders, lineitem, base + kDateRangeDays / 2 + 60 * stream);
-        pq.scans.push_back(
-            {orders,
-             columns(orders, {"o_orderkey", "o_orderdate", "o_shippriority"})});
-        pq.scans.push_back(
-            {lineitem, columns(lineitem, {"l_orderkey", "l_extendedprice",
-                                          "l_discount"})});
-        break;
-    }
-    return pq;
+    return MakeStreamQuery(orders, lineitem, shape, stream);
   };
 }
 
@@ -139,15 +142,10 @@ std::vector<OperatorPtr> MakeThroughputStream(
     const storage::TableStorage* orders,
     const storage::TableStorage* lineitem, int stream_index) {
   std::vector<OperatorPtr> queries;
-  const int64_t base = kDateEpochStart;
-  const int64_t year = 365;
-  const int64_t cutoff = base + kDateRangeDays - 90 - 30 * stream_index;
-  queries.push_back(MakePricingSummaryQuery(lineitem, cutoff));
-  const int64_t lo = base + (stream_index % 5) * year;
-  queries.push_back(MakeRevenueQuery(lineitem, lo, lo + year, 0.02, 0.09,
-                                     25.0 + stream_index));
-  queries.push_back(MakeOrderRevenueQuery(
-      orders, lineitem, base + kDateRangeDays / 2 + 60 * stream_index));
+  for (int shape = 0; shape < 3; ++shape) {
+    queries.push_back(
+        MakeStreamQuery(orders, lineitem, shape, stream_index).root);
+  }
   return queries;
 }
 

@@ -429,6 +429,27 @@ TEST(OverloadServeTest, ValidationRejectsEachMalformedKnob) {
   expect_bad(config);
 }
 
+TEST(OverloadServeTest, ValidationRejectsOutOfRangePState) {
+  // Without a power cap nothing clamps the serving P-state, and the
+  // ExecContext range check is an assert that NDEBUG builds drop.
+  const int pstates = power::MakeProportionalPlatform()->cpu().num_pstates();
+  sched::ServingConfig config;
+  config.exec_options.pstate = -1;
+  EXPECT_EQ(ServeStatus(config).code(), StatusCode::kInvalidArgument);
+  config.exec_options.pstate = pstates;
+  EXPECT_EQ(ServeStatus(config).code(), StatusCode::kInvalidArgument);
+  config.exec_options.pstate = pstates - 1;
+  EXPECT_TRUE(ServeStatus(config).ok());
+
+  // The facade returns the same Status.
+  Rig rig = MakeRig();
+  config.exec_options.pstate = pstates;
+  auto report = rig.db->Serve(
+      sim::ArrivalTrace{}, config,
+      tpch::MakeServingFactory(rig.orders, rig.lineitem));
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(OverloadServeTest, EmptyTraceYieldsEmptyReport) {
   sched::ServingConfig config;
   config.overload.relative_deadline_s = 1.0;
