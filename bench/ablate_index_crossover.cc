@@ -14,7 +14,7 @@
 #include <memory>
 
 #include "bench_util.h"
-#include "exec/filter_project.h"
+#include "exec/filter.h"
 #include "exec/index_scan.h"
 #include "exec/scan.h"
 #include "power/energy_meter.h"

@@ -13,7 +13,7 @@
 #include <memory>
 
 #include "bench_util.h"
-#include "exec/filter_project.h"
+#include "exec/filter.h"
 #include "exec/scan.h"
 #include "power/platform.h"
 #include "storage/ssd.h"

@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "exec/aggregate.h"
-#include "exec/filter_project.h"
+#include "exec/filter.h"
 #include "exec/joins.h"
 #include "exec/scan.h"
 #include "power/platform.h"

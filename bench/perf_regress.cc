@@ -44,7 +44,7 @@
 
 #include "bench_util.h"
 #include "exec/aggregate.h"
-#include "exec/filter_project.h"
+#include "exec/filter.h"
 #include "exec/scan.h"
 #include "exec/topk.h"
 #include "power/platform.h"

@@ -18,15 +18,7 @@ Status ValidateConfig(const DbConfig& config,
       }
     }
   }
-  if (config.exec_options.dop < 1) {
-    return Status::InvalidArgument("exec_options.dop must be >= 1");
-  }
-  const int pstates = platform.cpu().num_pstates();
-  if (config.exec_options.pstate < 0 || config.exec_options.pstate >= pstates) {
-    return Status::InvalidArgument("exec_options.pstate must be in [0, " +
-                                   std::to_string(pstates) + ")");
-  }
-  return Status::OK();
+  return config.exec_options.Validate(platform.cpu().num_pstates());
 }
 
 }  // namespace

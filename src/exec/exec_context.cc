@@ -10,6 +10,18 @@
 
 namespace ecodb::exec {
 
+Status ExecOptions::Validate(int num_pstates) const {
+  if (dop < 1) return Status::InvalidArgument("exec dop must be >= 1");
+  if (pstate < 0 || pstate >= num_pstates) {
+    return Status::InvalidArgument("exec pstate must be in [0, " +
+                                   std::to_string(num_pstates) + ")");
+  }
+  if (batch_rows == 0) {
+    return Status::InvalidArgument("exec batch_rows must be >= 1");
+  }
+  return Status::OK();
+}
+
 ExecContext::ExecContext(power::HardwarePlatform* platform,
                          ExecOptions options)
     : ExecContext(platform, options, SessionTag{},
@@ -19,9 +31,7 @@ ExecContext::ExecContext(power::HardwarePlatform* platform,
                          ExecOptions options, SessionTag session,
                          double start_time)
     : platform_(platform), options_(options), session_(session) {
-  assert(options_.dop >= 1);
-  assert(options_.pstate >= 0 &&
-         options_.pstate < platform_->cpu().num_pstates());
+  assert(options_.Validate(platform_->cpu().num_pstates()).ok());
   // Admission pins the start: the serving core constructs the context at
   // the admit instant, which may lie ahead of the clock (the clock is the
   // accounting layer's to move — this constructor IS that layer).

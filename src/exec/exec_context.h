@@ -58,6 +58,12 @@ struct ExecOptions {
   /// results or accounting — only scheduling granularity.
   size_t morsel_rows = 16384;
   CostConstants costs;
+
+  /// Rejects knobs ExecContext only asserts (asserts vanish under NDEBUG)
+  /// or that would hang execution: dop < 1, a P-state outside
+  /// [0, num_pstates), or batch_rows = 0 (emitters would hand out empty
+  /// batches forever). morsel_rows = 0 is legal: it rounds up to a block.
+  Status Validate(int num_pstates) const;
 };
 
 /// Fault-path accounting surfaced per query: what the retries and degraded

@@ -1,4 +1,4 @@
-#include "exec/filter_project.h"
+#include "exec/filter.h"
 
 namespace ecodb::exec {
 

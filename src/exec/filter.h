@@ -1,7 +1,7 @@
 // The filter operator.
 
-#ifndef ECODB_EXEC_FILTER_PROJECT_H_
-#define ECODB_EXEC_FILTER_PROJECT_H_
+#ifndef ECODB_EXEC_FILTER_H_
+#define ECODB_EXEC_FILTER_H_
 
 #include <vector>
 
@@ -34,4 +34,4 @@ class FilterOp final : public Operator {
 
 }  // namespace ecodb::exec
 
-#endif  // ECODB_EXEC_FILTER_PROJECT_H_
+#endif  // ECODB_EXEC_FILTER_H_

@@ -28,7 +28,7 @@
 #include <span>
 #include <utility>
 
-#include "exec/filter_project.h"
+#include "exec/filter.h"
 #include "exec/index_scan.h"
 #include "exec/joins.h"
 #include "exec/scan.h"
@@ -46,35 +46,6 @@ constexpr double kResidualFilterInstrPerRow = 4.0;
 /// DP width cap: 3^12 split enumerations stay well under a millisecond
 /// budget; beyond that the spec should be broken up.
 constexpr int kMaxRelations = 12;
-
-/// Columns relation `rel`'s scan must produce: requested columns (empty =
-/// all), filter inputs, incident edge keys, and any group-by / aggregate
-/// inputs living in its schema — sorted, so the order is deterministic.
-/// The one definition Analyze prices with and BuildJoinNode scans with.
-std::vector<std::string> ScanColumns(const QuerySpec& spec, int rel) {
-  const TableAlternatives& side = spec.Relations()[rel];
-  const catalog::Schema& schema = side.variants[0]->schema();
-  std::set<std::string> needed;
-  if (side.columns.empty()) {
-    for (const catalog::Column& c : schema.columns()) needed.insert(c.name);
-  } else {
-    needed.insert(side.columns.begin(), side.columns.end());
-  }
-  internal::CollectColumns(side.filter, &needed);
-  for (const JoinEdge& e : spec.edges) {
-    if (e.left_rel == rel) needed.insert(e.left_key);
-    if (e.right_rel == rel) needed.insert(e.right_key);
-  }
-  for (const std::string& g : spec.group_by) needed.insert(g);
-  for (const exec::AggregateItem& item : spec.aggregates) {
-    internal::CollectColumns(item.input, &needed);
-  }
-  std::vector<std::string> cols;
-  for (const std::string& name : needed) {
-    if (schema.FindColumn(name) >= 0) cols.push_back(name);
-  }
-  return cols;
-}
 
 /// Rejects a relation whose variants could not all stand in for variant 0:
 /// a null variant, or one with other column names / types or row count.
@@ -109,6 +80,31 @@ Status ValidateVariants(const TableAlternatives& rel) {
 }
 
 }  // namespace
+
+std::vector<std::string> ScanColumns(const QuerySpec& spec, int rel) {
+  const TableAlternatives& side = spec.Relations()[rel];
+  const catalog::Schema& schema = side.variants[0]->schema();
+  std::set<std::string> needed;
+  if (side.columns.empty()) {
+    for (const catalog::Column& c : schema.columns()) needed.insert(c.name);
+  } else {
+    needed.insert(side.columns.begin(), side.columns.end());
+  }
+  internal::CollectColumns(side.filter, &needed);
+  for (const JoinEdge& e : spec.edges) {
+    if (e.left_rel == rel) needed.insert(e.left_key);
+    if (e.right_rel == rel) needed.insert(e.right_key);
+  }
+  for (const std::string& g : spec.group_by) needed.insert(g);
+  for (const exec::AggregateItem& item : spec.aggregates) {
+    internal::CollectColumns(item.input, &needed);
+  }
+  std::vector<std::string> cols;
+  for (const std::string& name : needed) {
+    if (schema.FindColumn(name) >= 0) cols.push_back(name);
+  }
+  return cols;
+}
 
 StatusOr<JoinGraph> JoinGraph::Analyze(const QuerySpec& spec) {
   const std::span<const TableAlternatives> rels = spec.Relations();
@@ -831,7 +827,7 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
 }  // namespace
 
 StatusOr<exec::OperatorPtr> Planner::BuildOperator(
-    const QuerySpec& spec, const PhysicalPlan& plan) const {
+    const QuerySpec& spec, const PhysicalPlan& plan) {
   if (plan.join_root < 0 || plan.join_nodes.empty()) {
     return Status::InvalidArgument("plan has no join tree");
   }

@@ -91,6 +91,13 @@ class JoinGraph {
   mutable std::unordered_map<uint32_t, double> rows_memo_;
 };
 
+/// Columns relation `rel`'s scan must produce: requested columns (empty =
+/// all), filter inputs, incident edge keys, and any group-by / aggregate
+/// inputs living in its schema — sorted, so the order is deterministic.
+/// The one definition Analyze prices with, BuildJoinNode scans with, and
+/// a serving factory declares its shared scans with.
+std::vector<std::string> ScanColumns(const QuerySpec& spec, int rel);
+
 /// The differential oracle's fixed join order: left-deep hash joins over
 /// variant-0 seq scans, relations appended in BFS order from relation 0
 /// following spec edge order — deliberately estimate-free, so it cannot

@@ -199,9 +199,10 @@ class Planner {
                                const PhysicalPlan& plan) const;
 
   /// Constructs the executable operator tree realizing `plan` (whose join
-  /// tree must cover spec.Relations()).
-  StatusOr<exec::OperatorPtr> BuildOperator(const QuerySpec& spec,
-                                            const PhysicalPlan& plan) const;
+  /// tree must cover spec.Relations()). Reads no cost model, so any plan —
+  /// chosen or hand-built (CanonicalJoinPlan) — builds without a planner.
+  static StatusOr<exec::OperatorPtr> BuildOperator(const QuerySpec& spec,
+                                                   const PhysicalPlan& plan);
 
   /// Estimated selectivity of `filter` against a table's stats (exposed
   /// for tests). Bind() need not have been called.

@@ -52,15 +52,7 @@ Status ValidateConfig(const ServingConfig& config, int num_pstates) {
   if (!(config.share_window_s >= 0.0)) {
     return Status::InvalidArgument("share window must be >= 0 s");
   }
-  if (config.exec_options.dop < 1) {
-    return Status::InvalidArgument("serving dop must be >= 1");
-  }
-  // ExecContext only asserts the range, and asserts vanish under NDEBUG.
-  if (config.exec_options.pstate < 0 ||
-      config.exec_options.pstate >= num_pstates) {
-    return Status::InvalidArgument("serving pstate must be in [0, " +
-                                   std::to_string(num_pstates) + ")");
-  }
+  ECODB_RETURN_IF_ERROR(config.exec_options.Validate(num_pstates));
   const OverloadConfig& ol = config.overload;
   if (!(ol.relative_deadline_s > 0.0)) {
     return Status::InvalidArgument("relative deadline must be > 0 s");

@@ -8,21 +8,23 @@ namespace ecodb::tpch {
 
 namespace {
 
+using exec::AggFunc;
 using exec::Col;
 using exec::Lit;
+using exec::LitDate;
 using optimizer::JoinEdge;
 using optimizer::QuerySpec;
 using optimizer::TableAlternatives;
 
-TableAlternatives Rel(const std::string& name, const TpchTable& table,
+TableAlternatives Rel(const std::string& name, TableRef table,
                       std::vector<std::string> columns,
                       exec::ExprPtr filter = nullptr) {
   TableAlternatives rel;
   rel.name = name;
-  rel.variants = {table.storage.get()};
+  rel.variants = {table.storage};
   rel.columns = std::move(columns);
   rel.filter = std::move(filter);
-  rel.stats = &table.stats;
+  rel.stats = table.stats;
   return rel;
 }
 
@@ -128,6 +130,62 @@ std::vector<JoinQueryShape> MakeJoinQueryShapes(const TpchDatabase& db) {
   shapes.push_back(
       {"promo_revenue_q14", MakePromoRevenueSpec(db, 900, 960, 5)});
   return shapes;
+}
+
+QuerySpec MakeThroughputSpec(TableRef orders, TableRef lineitem, int shape,
+                             int stream) {
+  const auto disc_price = [] {
+    return Col("l_extendedprice") * (Lit(1.0) - Col("l_discount"));
+  };
+  QuerySpec spec;
+  switch (shape) {
+    case 0:
+      spec.relations = {Rel(
+          "lineitem", lineitem,
+          {"l_returnflag", "l_quantity", "l_extendedprice", "l_discount",
+           "l_shipdate"},
+          Col("l_shipdate") <=
+              LitDate(kDateEpochStart + kDateRangeDays - 90 - 30 * stream))};
+      spec.group_by = {"l_returnflag"};
+      spec.aggregates = {
+          {"sum_qty", AggFunc::kSum, Col("l_quantity")},
+          {"sum_base_price", AggFunc::kSum, Col("l_extendedprice")},
+          {"sum_disc_price", AggFunc::kSum, disc_price()},
+          {"avg_qty", AggFunc::kAvg, Col("l_quantity")},
+          {"count_order", AggFunc::kCount, nullptr},
+      };
+      break;
+    case 1: {
+      const int64_t lo = kDateEpochStart + (stream % 5) * 365;
+      spec.relations = {Rel(
+          "lineitem", lineitem,
+          {"l_quantity", "l_extendedprice", "l_discount", "l_shipdate"},
+          exec::And(exec::And(Col("l_shipdate") >= LitDate(lo),
+                              Col("l_shipdate") < LitDate(lo + 365)),
+                    exec::And(exec::And(Col("l_discount") >= Lit(0.02),
+                                        Col("l_discount") <= Lit(0.09)),
+                              Col("l_quantity") < Lit(25.0 + stream))))};
+      spec.aggregates = {{"revenue", AggFunc::kSum,
+                          Col("l_extendedprice") * Col("l_discount")}};
+      break;
+    }
+    default:
+      spec.relations = {
+          Rel("lineitem", lineitem,
+              {"l_orderkey", "l_extendedprice", "l_discount"}),
+          Rel("orders", orders, {"o_orderkey", "o_orderdate", "o_shippriority"},
+              Col("o_orderdate") <
+                  LitDate(kDateEpochStart + kDateRangeDays / 2 + 60 * stream)),
+      };
+      spec.edges = {{0, 1, "l_orderkey", "o_orderkey"}};
+      spec.group_by = {"o_shippriority"};
+      spec.aggregates = {
+          {"revenue", AggFunc::kSum, disc_price()},
+          {"count_items", AggFunc::kCount, nullptr},
+      };
+      break;
+  }
+  return spec;
 }
 
 }  // namespace ecodb::tpch

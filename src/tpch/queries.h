@@ -14,6 +14,13 @@
 //   * Q14-flavored: PART >< LINEITEM >< ORDERS with a ship-date window and
 //                   a grouped aggregate + top-k tail
 //
+// It also holds the three shapes of the throughput-test mixture
+// (tpch/workload.h) over ORDERS/LINEITEM, which the serving factory and the
+// Figure 1 streams lower through the planner's builder:
+//   * Q1-flavored:  LINEITEM scan + ship-date filter + group-by
+//   * Q6-flavored:  LINEITEM scan + range filters + one sum
+//   * Q3-flavored:  LINEITEM >< ORDERS + aggregate per ship priority
+//
 // The specs borrow the returned TpchDatabase's storage and stats pointers:
 // the database must outlive the spec and any plan built from it.
 
@@ -61,6 +68,26 @@ optimizer::QuerySpec MakePromoRevenueSpec(const TpchDatabase& db,
 
 /// All four shapes with default parameters (bench + test sweep set).
 std::vector<JoinQueryShape> MakeJoinQueryShapes(const TpchDatabase& db);
+
+/// A borrowed table: storage plus the statistics the planner reads. Both
+/// must outlive every spec built on it.
+struct TableRef {
+  TableRef(const storage::TableStorage* storage,
+           const catalog::TableStats* stats)
+      : storage(storage), stats(stats) {}
+  TableRef(const TpchTable& table)  // NOLINT(runtime/explicit)
+      : TableRef(table.storage.get(), &table.stats) {}
+  const storage::TableStorage* storage;
+  const catalog::TableStats* stats;
+};
+
+/// Query `shape` of throughput-test stream `stream` (tpch/workload.h), with
+/// the substitution parameters TPC-H streams rotate. Shape 0 is the Q1
+/// flavor, 1 the Q6 flavor, and any other the Q3 flavor, whose relation 0
+/// is LINEITEM (so its canonical plan probes with LINEITEM and builds on
+/// the filtered ORDERS).
+optimizer::QuerySpec MakeThroughputSpec(TableRef orders, TableRef lineitem,
+                                        int shape, int stream);
 
 }  // namespace ecodb::tpch
 

@@ -5,54 +5,31 @@
 // character with three query shapes over LINEITEM/ORDERS:
 //   * a pricing-summary aggregate (Q1-flavored): scan + filter + group-by
 //   * a revenue-forecast filter-sum (Q6-flavored): scan + range filters
-//   * a customer-order join (Q3-flavored): ORDERS >< LINEITEM + aggregate
+//   * a customer-order join (Q3-flavored): LINEITEM >< ORDERS + aggregate
 // All three are scan-dominated, so at low disk counts the array is the
 // bottleneck; at high counts the CPU is — the crossover drives Figure 1.
+//
+// The shapes are QuerySpecs (tpch/queries.h); both entry points below lower
+// them through the planner's canonical join plan and BuildOperator.
 
 #ifndef ECODB_TPCH_WORKLOAD_H_
 #define ECODB_TPCH_WORKLOAD_H_
 
-#include <functional>
-#include <string>
-#include <vector>
-
-#include "exec/operator.h"
 #include "sched/session.h"
-#include "storage/table_storage.h"
 #include "util/status.h"
 
 namespace ecodb::tpch {
 
-/// Builds the Q1-flavored pricing-summary plan over `lineitem`.
-exec::OperatorPtr MakePricingSummaryQuery(
-    const storage::TableStorage* lineitem, int64_t ship_date_cutoff);
-
-/// Builds the Q6-flavored revenue plan over `lineitem`.
-exec::OperatorPtr MakeRevenueQuery(const storage::TableStorage* lineitem,
-                                   int64_t date_lo, int64_t date_hi,
-                                   double discount_lo, double discount_hi,
-                                   double quantity_cap);
-
-/// Builds the Q3-flavored join plan over `orders` >< `lineitem`.
-exec::OperatorPtr MakeOrderRevenueQuery(const storage::TableStorage* orders,
-                                        const storage::TableStorage* lineitem,
-                                        int64_t order_date_cutoff);
-
 /// A serving-core query factory over the throughput-test mixture: maps a
 /// trace request's query_class onto the three shapes and its param onto the
-/// stream-style substitution parameters, and declares the tables each plan
-/// scans so the SessionManager can route them through the shared-scan
+/// stream-style substitution parameters, plans it, and declares the plan's
+/// leaf scans so the SessionManager can route them through the shared-scan
 /// manager. Deterministic in the request, as the replay contract requires.
+/// Both tables are analyzed once, here; if that fails (or a table is null)
+/// every call returns the error.
 sched::SessionManager::QueryFactory MakeServingFactory(
     const storage::TableStorage* orders,
     const storage::TableStorage* lineitem);
-
-/// One complete throughput-test stream: the three shapes with rotating
-/// parameters. `stream_index` varies the parameters like TPC-H's
-/// substitution rules.
-std::vector<exec::OperatorPtr> MakeThroughputStream(
-    const storage::TableStorage* orders,
-    const storage::TableStorage* lineitem, int stream_index);
 
 /// Outcome of running one or more streams back-to-back.
 struct ThroughputResult {
@@ -75,9 +52,11 @@ struct ThroughputResult {
   }
 };
 
-/// Runs `streams` full streams sequentially on `platform` (the simulated
+/// Runs `streams` full streams — the three shapes, with stream index s
+/// rotating the parameters — sequentially on `platform` (the simulated
 /// clock advances through each query; concurrency across clients shows up
-/// as sustained device utilization).
+/// as sustained device utilization). Returns InvalidArgument for options
+/// ExecOptions::Validate rejects.
 StatusOr<ThroughputResult> RunThroughputTest(
     power::HardwarePlatform* platform, const storage::TableStorage* orders,
     const storage::TableStorage* lineitem, int streams,

@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/filter_project.h"
+#include "exec/filter.h"
 #include "exec/index_scan.h"
 #include "exec/scan.h"
 #include "power/platform.h"

@@ -18,7 +18,7 @@
 #include "exec/aggregate.h"
 #include "exec/batch.h"
 #include "exec/expr.h"
-#include "exec/filter_project.h"
+#include "exec/filter.h"
 #include "exec/scan.h"
 #include "power/platform.h"
 #include "storage/ssd.h"

@@ -120,6 +120,18 @@ TEST(EcoDb, OpenRejectsNonPositiveExecDop) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(EcoDb, OpenRejectsZeroBatchRows) {
+  // Zero-row batches would never reach end of stream: Execute would hang.
+  DbConfig config = SsdConfig();
+  config.exec_options.batch_rows = 0;
+  EXPECT_EQ(EcoDb::Open(config).status().code(),
+            StatusCode::kInvalidArgument);
+  // morsel_rows = 0 rounds up to one zone block, so it stays legal.
+  config.exec_options.batch_rows = 1;
+  config.exec_options.morsel_rows = 0;
+  EXPECT_TRUE(EcoDb::Open(config).ok());
+}
+
 TEST(EcoDb, OpenRejectsPstateOutsidePlatform) {
   DbConfig config = SsdConfig();
   auto probe = EcoDb::Open(config);

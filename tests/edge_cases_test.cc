@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/aggregate.h"
-#include "exec/filter_project.h"
+#include "exec/filter.h"
 #include "exec/joins.h"
 #include "exec/scan.h"
 #include "exec/sort_limit.h"

@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/aggregate.h"
-#include "exec/filter_project.h"
+#include "exec/filter.h"
 #include "exec/scan.h"
 #include "power/platform.h"
 #include "storage/buffer_pool.h"

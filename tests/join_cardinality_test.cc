@@ -19,7 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/exec_context.h"
-#include "exec/filter_project.h"
+#include "exec/filter.h"
 #include "exec/operator.h"
 #include "exec/scan.h"
 #include "optimizer/cost_model.h"

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/aggregate.h"
-#include "exec/filter_project.h"
+#include "exec/filter.h"
 #include "exec/joins.h"
 #include "exec/operator.h"
 #include "exec/scan.h"

@@ -450,6 +450,20 @@ TEST(OverloadServeTest, ValidationRejectsOutOfRangePState) {
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(OverloadServeTest, ValidationRejectsZeroBatchRows) {
+  // A session running with zero-row batches would never finish.
+  sched::ServingConfig config;
+  config.exec_options.batch_rows = 0;
+  EXPECT_EQ(ServeStatus(config).code(), StatusCode::kInvalidArgument);
+
+  // The facade rejects it before the first session runs.
+  Rig rig = MakeRig();
+  auto report = rig.db->Serve(
+      ClusteredTrace(1, 0.0), config,
+      tpch::MakeServingFactory(rig.orders, rig.lineitem));
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(OverloadServeTest, EmptyTraceYieldsEmptyReport) {
   sched::ServingConfig config;
   config.overload.relative_deadline_s = 1.0;

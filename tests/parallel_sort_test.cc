@@ -12,7 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/filter_project.h"
+#include "exec/filter.h"
 #include "exec/operator.h"
 #include "exec/scan.h"
 #include "exec/sort_limit.h"

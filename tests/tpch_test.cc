@@ -1,7 +1,14 @@
 // Tests for the TPC-H-like generator and the throughput-test workload.
+//
+// The workload cases drive the serving factory one request at a time and
+// check its rows against naive folds (naive_reference.h).
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +16,8 @@
 #include "storage/ssd.h"
 #include "tpch/generator.h"
 #include "tpch/workload.h"
+
+#include "naive_reference.h"
 
 namespace ecodb::tpch {
 namespace {
@@ -246,61 +255,91 @@ class WorkloadTest : public ::testing::Test {
     lineitem_ = std::move(lineitem).value();
   }
 
+  /// One factory request, planned and run alone.
+  struct Outcome {
+    exec::QueryResultSet rows;
+    exec::QueryStats stats;
+    std::vector<sched::SessionManager::ScanRequest> scans;
+  };
+  StatusOr<Outcome> Run(int query_class, int param) {
+    sim::TraceRequest req;
+    req.query_class = query_class;
+    req.param = param;
+    ECODB_ASSIGN_OR_RETURN(
+        sched::SessionManager::PlannedQuery pq,
+        MakeServingFactory(orders_.get(), lineitem_.get())(req));
+    exec::ExecContext ctx(platform_.get(), exec::ExecOptions{});
+    Outcome out;
+    ECODB_ASSIGN_OR_RETURN(out.rows, exec::CollectAll(pq.root.get(), &ctx));
+    out.stats = ctx.Finish();
+    out.scans = std::move(pq.scans);
+    return out;
+  }
+
+  /// The column names a declared scan reads.
+  std::set<std::string> ColumnNames(
+      const sched::SessionManager::ScanRequest& scan) const {
+    std::set<std::string> names;
+    for (int c : scan.columns) {
+      names.insert(scan.table->schema().column(c).name);
+    }
+    return names;
+  }
+
   std::unique_ptr<power::HardwarePlatform> platform_;
   std::unique_ptr<storage::SsdDevice> ssd_;
   std::unique_ptr<storage::TableStorage> orders_;
   std::unique_ptr<storage::TableStorage> lineitem_;
 };
 
+// The mixture's substitution parameters for stream `p`, restated here so
+// the oracles below do not read them back from the code under test.
+int64_t PricingCutoff(int p) { return kDateRangeDays - 90 - 30 * p; }
+int64_t RevenueYearStart(int p) { return (p % 5) * 365; }
+int64_t OrderCutoff(int p) { return kDateRangeDays / 2 + 60 * p; }
+
 TEST_F(WorkloadTest, PricingSummaryGroupsByReturnFlag) {
-  auto q = MakePricingSummaryQuery(lineitem_.get(),
-                                   kDateEpochStart + kDateRangeDays);
-  exec::ExecContext ctx(platform_.get(), exec::ExecOptions{});
-  auto result = exec::CollectAll(q.get(), &ctx);
-  ctx.Finish();
-  ASSERT_TRUE(result.ok());
-  EXPECT_LE(result->TotalRows(), 3u);  // R / A / N
-  EXPECT_GE(result->TotalRows(), 2u);
-  // count_order column sums to total lineitems (cutoff covers everything).
+  const int64_t cutoff = PricingCutoff(0);
+  auto result = Run(/*query_class=*/0, /*param=*/0);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_LE(result->rows.TotalRows(), 3u);  // R / A / N
+  EXPECT_GE(result->rows.TotalRows(), 2u);
+  // count_order sums to the line items shipped by the cutoff.
   int64_t total = 0;
-  const int count_col = result->schema.FindColumn("count_order");
+  const int count_col = result->rows.schema.FindColumn("count_order");
   ASSERT_GE(count_col, 0);
-  for (const auto& batch : result->batches) {
+  for (const auto& batch : result->rows.batches) {
     for (size_t r = 0; r < batch.num_rows(); ++r) {
       total += batch.GetValue(r, count_col).i64;
     }
   }
-  EXPECT_EQ(total, static_cast<int64_t>(lineitem_->row_count()));
+  const auto ship = lineitem_->RawColumn(
+      lineitem_->schema().FindColumn("l_shipdate"));
+  const int64_t expected = std::count_if(
+      ship.i64.begin(), ship.i64.end(),
+      [cutoff](int64_t d) { return d <= cutoff; });
+  EXPECT_EQ(total, expected);
+  EXPECT_LT(expected, static_cast<int64_t>(lineitem_->row_count()));
 }
 
 TEST_F(WorkloadTest, RevenueQueryReturnsOneRow) {
-  auto q = MakeRevenueQuery(lineitem_.get(), kDateEpochStart,
-                            kDateEpochStart + 365, 0.02, 0.09, 25.0);
-  exec::ExecContext ctx(platform_.get(), exec::ExecOptions{});
-  auto result = exec::CollectAll(q.get(), &ctx);
-  ctx.Finish();
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->TotalRows(), 1u);
-  EXPECT_GT(result->batches[0].GetValue(0, 0).f64, 0.0);
+  auto result = Run(/*query_class=*/1, /*param=*/0);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  ASSERT_EQ(result->rows.TotalRows(), 1u);
+  EXPECT_GT(result->rows.batches[0].GetValue(0, 0).f64, 0.0);
 }
 
 TEST_F(WorkloadTest, OrderRevenueJoinProducesShipPriorityGroups) {
-  auto q = MakeOrderRevenueQuery(orders_.get(), lineitem_.get(),
-                                 kDateEpochStart + kDateRangeDays);
-  exec::ExecContext ctx(platform_.get(), exec::ExecOptions{});
-  auto result = exec::CollectAll(q.get(), &ctx);
-  ctx.Finish();
-  ASSERT_TRUE(result.ok());
-  // o_shippriority is constant 0 -> exactly one group covering all rows.
-  ASSERT_EQ(result->TotalRows(), 1u);
-  const int count_col = result->schema.FindColumn("count_items");
-  EXPECT_EQ(result->batches[0].GetValue(0, count_col).i64,
-            static_cast<int64_t>(lineitem_->row_count()));
-}
-
-TEST_F(WorkloadTest, ThroughputStreamHasThreeQueries) {
-  auto stream = MakeThroughputStream(orders_.get(), lineitem_.get(), 0);
-  EXPECT_EQ(stream.size(), 3u);
+  auto result = Run(/*query_class=*/2, /*param=*/7);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  // o_shippriority is constant 0 -> exactly one group.
+  ASSERT_EQ(result->rows.TotalRows(), 1u);
+  const int count_col = result->rows.schema.FindColumn("count_items");
+  ASSERT_GE(count_col, 0);
+  const int64_t count =
+      result->rows.batches[0].GetValue(0, count_col).i64;
+  EXPECT_GT(count, 0);
+  EXPECT_LT(count, static_cast<int64_t>(lineitem_->row_count()));
 }
 
 TEST_F(WorkloadTest, ThroughputTestAccountsTimeAndEnergy) {
@@ -314,23 +353,138 @@ TEST_F(WorkloadTest, ThroughputTestAccountsTimeAndEnergy) {
   EXPECT_GT(result->EnergyEfficiency(), 0.0);
 }
 
+TEST_F(WorkloadTest, ThroughputTestRejectsZeroBatchRows) {
+  // Zero-row batches would never reach end of stream.
+  exec::ExecOptions options;
+  options.batch_rows = 0;
+  auto result = RunThroughputTest(platform_.get(), orders_.get(),
+                                  lineitem_.get(), 1, options);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(WorkloadTest, StreamsVaryParameters) {
   // Different stream indexes must produce different revenue answers
   // (the TPC-H substitution-parameter idea).
-  auto q0 = MakeRevenueQuery(lineitem_.get(), kDateEpochStart,
-                             kDateEpochStart + 365, 0.02, 0.09, 25.0);
-  auto q1 = MakeRevenueQuery(lineitem_.get(), kDateEpochStart + 365,
-                             kDateEpochStart + 730, 0.02, 0.09, 25.0);
-  exec::ExecContext c0(platform_.get(), exec::ExecOptions{});
-  auto r0 = exec::CollectAll(q0.get(), &c0);
-  c0.Finish();
-  exec::ExecContext c1(platform_.get(), exec::ExecOptions{});
-  auto r1 = exec::CollectAll(q1.get(), &c1);
-  c1.Finish();
+  auto r0 = Run(/*query_class=*/1, /*param=*/0);
+  auto r1 = Run(/*query_class=*/1, /*param=*/1);
   ASSERT_TRUE(r0.ok());
   ASSERT_TRUE(r1.ok());
-  EXPECT_NE(r0->batches[0].GetValue(0, 0).f64,
-            r1->batches[0].GetValue(0, 0).f64);
+  EXPECT_NE(r0->rows.batches[0].GetValue(0, 0).f64,
+            r1->rows.batches[0].GetValue(0, 0).f64);
+}
+
+TEST_F(WorkloadTest, ServingFactoryMatchesNaiveFoldsAndDeclaresPlanScans) {
+  using exec::Col;
+  using exec::Lit;
+  using exec::LitDate;
+  using Names = std::set<std::string>;
+  const std::vector<Names> lineitem_columns = {
+      {"l_returnflag", "l_quantity", "l_extendedprice", "l_discount",
+       "l_shipdate"},
+      {"l_quantity", "l_extendedprice", "l_discount", "l_shipdate"},
+      {"l_orderkey", "l_extendedprice", "l_discount"}};
+  const Names order_columns = {"o_orderkey", "o_orderdate",
+                               "o_shippriority"};
+  const auto column = [](const storage::TableStorage& t, const char* name) {
+    return t.RawColumn(t.schema().FindColumn(name));
+  };
+
+  for (int query_class = 0; query_class < 3; ++query_class) {
+    for (int p = 0; p < 8; ++p) {
+      SCOPED_TRACE("query_class=" + std::to_string(query_class) +
+                   " param=" + std::to_string(p));
+      exec::naive::Rows expected;
+      if (query_class == 0) {
+        expected = exec::naive::GroupBy(
+            exec::naive::Materialize(*lineitem_,
+                               Col("l_shipdate") <= LitDate(PricingCutoff(p))),
+            {"l_returnflag"},
+            {{"sum_qty", exec::AggFunc::kSum, Col("l_quantity")},
+             {"sum_base_price", exec::AggFunc::kSum, Col("l_extendedprice")},
+             {"sum_disc_price", exec::AggFunc::kSum,
+              Col("l_extendedprice") * (Lit(1.0) - Col("l_discount"))},
+             {"avg_qty", exec::AggFunc::kAvg, Col("l_quantity")},
+             {"count_order", exec::AggFunc::kCount, nullptr}});
+      } else if (query_class == 1) {
+        const int64_t lo = RevenueYearStart(p);
+        expected = exec::naive::GroupBy(
+            exec::naive::Materialize(
+                *lineitem_,
+                exec::And(exec::And(Col("l_shipdate") >= LitDate(lo),
+                                    Col("l_shipdate") < LitDate(lo + 365)),
+                          exec::And(exec::And(Col("l_discount") >= Lit(0.02),
+                                              Col("l_discount") <= Lit(0.09)),
+                                    Col("l_quantity") < Lit(25.0 + p)))),
+            {}, {{"revenue", exec::AggFunc::kSum,
+                  Col("l_extendedprice") * Col("l_discount")}});
+      } else {
+        // Line items whose order was placed before the cutoff, folded into
+        // the one o_shippriority group (the generator's constant 0).
+        const auto okey = column(*orders_, "o_orderkey");
+        const auto odate = column(*orders_, "o_orderdate");
+        std::set<int64_t> qualifying;
+        for (size_t i = 0; i < okey.i64.size(); ++i) {
+          if (odate.i64[i] < OrderCutoff(p)) qualifying.insert(okey.i64[i]);
+        }
+        const auto lkey = column(*lineitem_, "l_orderkey");
+        const auto price = column(*lineitem_, "l_extendedprice");
+        const auto disc = column(*lineitem_, "l_discount");
+        double revenue = 0.0;
+        int64_t items = 0;
+        for (size_t i = 0; i < lkey.i64.size(); ++i) {
+          if (qualifying.count(lkey.i64[i]) == 0) continue;
+          revenue += price.f64[i] * (1.0 - disc.f64[i]);
+          ++items;
+        }
+        expected = {{exec::Value::Int64(0), exec::Value::Double(revenue),
+                     exec::Value::Int64(items)}};
+      }
+
+      auto got = Run(query_class, p);
+      ASSERT_TRUE(got.ok()) << got.status().message();
+      ASSERT_EQ(got->rows.TotalRows(), expected.size());
+      size_t r = 0;
+      for (const auto& batch : got->rows.batches) {
+        for (const auto& row : exec::naive::ToRows(batch)) {
+          ASSERT_EQ(row.size(), expected[r].size());
+          for (size_t c = 0; c < row.size(); ++c) {
+            const exec::Value& e = expected[r][c];
+            if (e.type == catalog::DataType::kDouble) {
+              EXPECT_NEAR(row[c].f64, e.f64, 1e-9 * std::abs(e.f64))
+                  << "row " << r << " col " << c;
+            } else {
+              EXPECT_EQ(row[c], e) << "row " << r << " col " << c;
+            }
+          }
+          ++r;
+        }
+      }
+
+      // One declared scan per plan leaf, LINEITEM (relation 0) first, naming
+      // the columns the built scans read: their transfers are exactly the
+      // bytes the query was charged.
+      const auto& scans = got->scans;
+      ASSERT_EQ(scans.size(), query_class == 2 ? 2u : 1u);
+      EXPECT_EQ(scans[0].table, lineitem_.get());
+      EXPECT_EQ(ColumnNames(scans[0]), lineitem_columns[query_class]);
+      if (query_class == 2) {
+        EXPECT_EQ(scans[1].table, orders_.get());
+        EXPECT_EQ(ColumnNames(scans[1]), order_columns);
+      }
+      uint64_t declared_bytes = 0;
+      for (const auto& scan : scans) {
+        declared_bytes += scan.table->ScanBytes(scan.columns);
+      }
+      EXPECT_EQ(got->stats.io_bytes, declared_bytes);
+    }
+  }
+}
+
+TEST_F(WorkloadTest, ServingFactoryRejectsMissingTable) {
+  const auto factory = MakeServingFactory(nullptr, lineitem_.get());
+  sim::TraceRequest req;
+  req.query_class = 1;
+  EXPECT_EQ(factory(req).status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/filter_project.h"
+#include "exec/filter.h"
 #include "exec/scan.h"
 #include "power/platform.h"
 #include "storage/ssd.h"
