@@ -8,6 +8,7 @@
 //   - bare table scan over a seeded table (the query normalization lane);
 //   - filter-scan rows/sec (fused mask evaluation over a seeded table);
 //   - Q1-style grouped aggregate (sum/sum-expression/count by key);
+//   - hash join (the table probed against a filtered build of itself);
 //   - top-k (ORDER BY ... LIMIT via the bounded-heap operator).
 //
 // Wall-clock portability: absolute seconds are machine-specific, so every
@@ -45,6 +46,7 @@
 #include "bench_util.h"
 #include "exec/aggregate.h"
 #include "exec/filter.h"
+#include "exec/joins.h"
 #include "exec/scan.h"
 #include "exec/topk.h"
 #include "power/platform.h"
@@ -326,6 +328,16 @@ SuiteResult RunSuite(int codec_reps, int query_reps) {
          return std::make_unique<exec::HashAggregateOp>(
              std::make_unique<exec::TableScanOp>(fixture.table.get()),
              std::vector<std::string>{"k"}, std::move(aggs));
+       }},
+      {"hash_join",
+       [&]() -> std::unique_ptr<exec::Operator> {
+         // ~1000 build rows over 1000 keys: about one match per probe row.
+         return std::make_unique<exec::HashJoinOp>(
+             std::make_unique<exec::TableScanOp>(fixture.table.get()),
+             std::make_unique<exec::FilterOp>(
+                 std::make_unique<exec::TableScanOp>(fixture.table.get()),
+                 Col("v") < Lit(int64_t{1000})),
+             "k", "k");
        }},
       {"topk",
        [&]() -> std::unique_ptr<exec::Operator> {

@@ -1,6 +1,9 @@
 #include "exec/batch.h"
 
+#include <algorithm>
 #include <cassert>
+#include <type_traits>
+#include <utility>
 
 namespace ecodb::exec {
 
@@ -74,60 +77,54 @@ Status RecordBatch::SealRows(size_t rows) {
 void RecordBatch::AppendRowFrom(const RecordBatch& src, size_t row) {
   assert(src.num_columns() == num_columns());
   for (size_t i = 0; i < columns_.size(); ++i) {
-    ColumnData& dst = columns_[i];
-    const ColumnData& s = src.columns_[i];
-    switch (dst.type) {
-      case catalog::DataType::kInt64:
-      case catalog::DataType::kDate:
-        dst.i64.push_back(s.i64[row]);
-        break;
-      case catalog::DataType::kDouble:
-        dst.f64.push_back(s.f64[row]);
-        break;
-      case catalog::DataType::kString:
-        dst.str.push_back(s.str[row]);
-        break;
-    }
+    VisitLanes(src.columns_[i], &columns_[i],
+               [&](const auto& from, auto& to) { to.push_back(from[row]); });
   }
   ++num_rows_;
 }
 
+namespace {
+
+/// Moves `lane`'s cells at rows `keep[0, n)` (ascending, each >= `at`)
+/// to positions `at`, `at + 1`, ...
+template <typename T>
+void CompactLane(const size_t* keep, size_t n, size_t at,
+                 std::vector<T>* lane) {
+  T* cells = lane->data();
+  for (size_t i = 0; i < n; ++i) {
+    if constexpr (std::is_trivially_copyable_v<T>) {
+      cells[at + i] = cells[keep[i]];
+    } else if (keep[i] != at + i) {
+      cells[at + i] = std::move(cells[keep[i]]);
+    }
+  }
+}
+
+}  // namespace
+
 void RecordBatch::FilterInPlace(const std::vector<uint8_t>& mask) {
   assert(mask.size() == num_rows_);
+  // A chunk's kept rows become a selection vector, built without
+  // branches; each lane then compacts the chunk in its own loop. Kept
+  // rows only move toward the front, so a chunk never overwrites rows a
+  // later chunk still reads.
+  constexpr size_t kChunkRows = 1024;
+  size_t keep[kChunkRows];
   size_t kept = 0;
-  for (size_t r = 0; r < num_rows_; ++r) {
-    if (!mask[r]) continue;
-    if (kept != r) {
-      for (ColumnData& c : columns_) {
-        switch (c.type) {
-          case catalog::DataType::kInt64:
-          case catalog::DataType::kDate:
-            c.i64[kept] = c.i64[r];
-            break;
-          case catalog::DataType::kDouble:
-            c.f64[kept] = c.f64[r];
-            break;
-          case catalog::DataType::kString:
-            c.str[kept] = std::move(c.str[r]);
-            break;
-        }
-      }
+  for (size_t first = 0; first < mask.size(); first += kChunkRows) {
+    const size_t end = std::min(mask.size(), first + kChunkRows);
+    size_t n = 0;
+    for (size_t r = first; r < end; ++r) {
+      keep[n] = r;
+      n += mask[r] != 0;
     }
-    ++kept;
+    for (ColumnData& c : columns_) {
+      VisitLane(c, [&](auto& lane) { CompactLane(keep, n, kept, &lane); });
+    }
+    kept += n;
   }
   for (ColumnData& c : columns_) {
-    switch (c.type) {
-      case catalog::DataType::kInt64:
-      case catalog::DataType::kDate:
-        c.i64.resize(kept);
-        break;
-      case catalog::DataType::kDouble:
-        c.f64.resize(kept);
-        break;
-      case catalog::DataType::kString:
-        c.str.resize(kept);
-        break;
-    }
+    VisitLane(c, [&](auto& lane) { lane.resize(kept); });
   }
   num_rows_ = kept;
 }

@@ -62,6 +62,30 @@ struct Value {
   bool operator==(const Value&) const = default;
 };
 
+/// Calls `fn(src_lane, dst_lane)` with the live lanes of two columns of
+/// `src`'s type: i64 (int64 and date), f64 or str.
+template <typename Src, typename Fn>
+void VisitLanes(Src& src, ColumnData* dst, Fn&& fn) {
+  switch (src.type) {
+    case catalog::DataType::kInt64:
+    case catalog::DataType::kDate:
+      fn(src.i64, dst->i64);
+      break;
+    case catalog::DataType::kDouble:
+      fn(src.f64, dst->f64);
+      break;
+    case catalog::DataType::kString:
+      fn(src.str, dst->str);
+      break;
+  }
+}
+
+/// Calls `fn(lane)` with `column`'s live lane.
+template <typename Fn>
+void VisitLane(ColumnData& column, Fn&& fn) {
+  VisitLanes(column, &column, [&](auto& lane, auto&) { fn(lane); });
+}
+
 /// Batch of rows in columnar form.
 class RecordBatch {
  public:

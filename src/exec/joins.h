@@ -14,8 +14,8 @@
 #ifndef ECODB_EXEC_JOINS_H_
 #define ECODB_EXEC_JOINS_H_
 
+#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/expr.h"
@@ -27,6 +27,48 @@ namespace ecodb::exec {
 /// Builds the joined schema per the collision convention above.
 catalog::Schema JoinedSchema(const catalog::Schema& left,
                              const catalog::Schema& right);
+
+/// Matched (left row, right row) index pairs, in emission order. Every
+/// join collects these and then gathers its output lane by lane.
+struct RowPairs {
+  std::vector<uint32_t> left;
+  std::vector<uint32_t> right;
+};
+
+/// Flat hash index over one build-side key lane (int64/date or string).
+/// Rows are counting-sorted by bucket into contiguous arrays, so a probe
+/// scans one slice of inline keys (string keys store their hash, and the
+/// string is compared only on a hash hit). Within a bucket, rows sit in
+/// descending row order: each probe row's matches come out in descending
+/// build-row order, whatever the hash or bucket count.
+class JoinHashTable {
+ public:
+  /// Indexes `keys`. Fails if the lane has more rows than a 32-bit row id
+  /// can name.
+  Status Build(const ColumnData& keys);
+
+  /// Appends one pair per match of each row of `probe` against `build`
+  /// (the lane passed to Build), probe rows in order. Read-only; safe to
+  /// call concurrently.
+  void Probe(const ColumnData& probe, const ColumnData& build,
+             RowPairs* out) const;
+
+  void Clear();
+
+ private:
+  template <bool kStringKey>
+  void ProbeLane(const ColumnData& probe, const ColumnData& build,
+                 RowPairs* out) const;
+
+  /// Unused entries past the end, so a probe may read two entries of any
+  /// bucket without a bounds check.
+  static constexpr size_t kSentinels = 2;
+
+  uint64_t mask_ = 0;
+  std::vector<uint32_t> offsets_;  // bucket b: [offsets_[b], offsets_[b+1])
+  std::vector<uint64_t> tags_;     // the int64 key, or the string's hash
+  std::vector<uint32_t> rows_;     // build row of each entry
+};
 
 /// Equi-join on one key column per side. The right (build) side must fit
 /// in memory; its size is charged as DRAM traffic.
@@ -52,10 +94,11 @@ class HashJoinOp final : public Operator {
   uint64_t build_bytes() const { return build_bytes_; }
 
  private:
-  /// Probes one batch against the build table (read-only; safe to call
-  /// concurrently on distinct batches).
-  Status ProbeBatch(const RecordBatch& probe, RecordBatch* joined,
-                    size_t* matches) const;
+  /// Probes one batch against the build table, collecting its matches in
+  /// `pairs` (the caller's scratch, reused across batches). Read-only;
+  /// safe to call concurrently with distinct batches and scratch.
+  Status ProbeBatch(const RecordBatch& probe, RowPairs* pairs,
+                    RecordBatch* joined, size_t* matches) const;
   /// Runs the morsel-parallel probe into probe_slots_.
   Status ParallelProbe();
 
@@ -66,15 +109,14 @@ class HashJoinOp final : public Operator {
   int left_key_ = -1;
   int right_key_ = -1;
   catalog::Schema schema_;
-  // Build side, materialized; int64 and string keys supported.
+  // Build side, materialized and indexed on its key lane.
   RecordBatch build_rows_;
-  std::unordered_multimap<int64_t, size_t> i64_index_;
-  std::unordered_multimap<std::string, size_t> str_index_;
-  bool string_key_ = false;
+  JoinHashTable table_;
   uint64_t build_bytes_ = 0;
   // Parallel probe state (set when the left child is a MorselSource).
   MorselSource* probe_source_ = nullptr;
   std::vector<RecordBatch> probe_slots_;  // per-morsel, emitted in order
+  RowPairs serial_pairs_;  // the coordinator probe's match scratch
   bool probed_ = false;
   size_t probe_cursor_ = 0;
   ExecContext* ctx_ = nullptr;
@@ -118,7 +160,9 @@ class MergeJoinOp final : public Operator {
   std::string left_key_name_;
   std::string right_key_name_;
   catalog::Schema schema_;
-  RecordBatch output_;  // fully computed on Open; streamed out in batches
+  RecordBatch left_rows_;
+  RecordBatch right_rows_;
+  RowPairs pairs_;  // merged on Open; gathered out in batches
   size_t cursor_ = 0;
   ExecContext* ctx_ = nullptr;
 };

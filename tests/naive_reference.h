@@ -5,7 +5,8 @@
 // in a std::map — so the engine's morsel operators are checked against an
 // implementation that shares none of their run formation, merging,
 // partitioning or morsel bookkeeping. Results come back as rows of Values
-// in output order, the shape the tests already compare.
+// in output order, the shape the tests already compare (HashJoin returns a
+// batch, for lane-by-lane comparison).
 
 #ifndef ECODB_TESTS_NAIVE_REFERENCE_H_
 #define ECODB_TESTS_NAIVE_REFERENCE_H_
@@ -15,6 +16,8 @@
 #include <map>
 #include <numeric>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +25,7 @@
 #include "exec/aggregate.h"
 #include "exec/batch.h"
 #include "exec/expr.h"
+#include "exec/joins.h"
 #include "exec/operator.h"
 #include "exec/sort_limit.h"
 #include "storage/table_storage.h"
@@ -168,6 +172,50 @@ inline Rows GroupBy(const RecordBatch& batch,
     rows.push_back(std::move(row));
   }
   return rows;
+}
+
+/// Equi-join of `probe` with `build` on one key column each, folded
+/// through a std::unordered_multimap: each probe row, in order, joined with
+/// its matching build rows in descending build-row order (HashJoinOp's
+/// order contract, DESIGN §6; libstdc++'s equal_range already yields it,
+/// and the sort pins it whatever the library). Columns follow
+/// JoinedSchema.
+inline RecordBatch HashJoin(const RecordBatch& probe,
+                            const RecordBatch& build,
+                            const std::string& probe_key,
+                            const std::string& build_key) {
+  const size_t pk = static_cast<size_t>(probe.schema().FindColumn(probe_key));
+  const size_t bk = static_cast<size_t>(build.schema().FindColumn(build_key));
+  RecordBatch out(JoinedSchema(probe.schema(), build.schema()));
+  auto fold = [&](const auto& keys_of_build, const auto& keys_of_probe) {
+    using Key = typename std::decay_t<decltype(keys_of_build)>::value_type;
+    std::unordered_multimap<Key, size_t> index;
+    for (size_t r = 0; r < build.num_rows(); ++r) {
+      index.emplace(keys_of_build[r], r);
+    }
+    for (size_t r = 0; r < probe.num_rows(); ++r) {
+      std::vector<size_t> matches;
+      auto [lo, hi] = index.equal_range(keys_of_probe[r]);
+      for (auto it = lo; it != hi; ++it) matches.push_back(it->second);
+      std::sort(matches.rbegin(), matches.rend());
+      for (size_t b : matches) {
+        std::vector<Value> row;
+        for (size_t c = 0; c < probe.num_columns(); ++c) {
+          row.push_back(probe.GetValue(r, c));
+        }
+        for (size_t c = 0; c < build.num_columns(); ++c) {
+          row.push_back(build.GetValue(b, c));
+        }
+        EXPECT_TRUE(out.AppendRow(row).ok());
+      }
+    }
+  };
+  if (build.column(bk).type == catalog::DataType::kString) {
+    fold(build.column(bk).str, probe.column(pk).str);
+  } else {
+    fold(build.column(bk).i64, probe.column(pk).i64);
+  }
+  return out;
 }
 
 /// Replays a materialized batch in `batch_rows`-row batches and charges
